@@ -220,7 +220,7 @@ impl Process for AuthBaWithClassification {
                         // Line 10: smallest non-⊥ value occurring most
                         // often among the broadcast outputs; fall back to
                         // the own input if every instance returned ⊥
-                        // (documented deviation, DESIGN.md §3).
+                        // (a deviation of this reproduction).
                         let tally: Tally<Value> = outputs.iter().flatten().copied().collect();
                         let plurality = tally.plurality().copied().unwrap_or(self.input);
                         out.broadcast(Alg7Msg::Plurality {

@@ -20,9 +20,10 @@
 //! [`CommitteeMode::Universal`] drops the certificates entirely (every
 //! process is implicitly certified). Running `n` universal instances in
 //! parallel truncated at `k + 1` rounds and taking the plurality is this
-//! repository's authenticated early-stopping agreement (substitution S5
-//! in `DESIGN.md`): it is a full Dolev–Strong per sender whenever
-//! `f ≤ k`, and the guess-and-double wrapper supplies ever larger `k`.
+//! repository's authenticated early-stopping agreement (substitution S5,
+//! see the `ba_early` crate docs): it is a full Dolev–Strong per sender
+//! whenever `f ≤ k`, and the guess-and-double wrapper supplies ever
+//! larger `k`.
 
 use crate::chains::{CommitteeCert, MessageChain};
 use ba_crypto::{Pki, SigningKey};

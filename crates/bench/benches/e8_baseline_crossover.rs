@@ -2,10 +2,11 @@
 //! wrapper beats the prediction-free baselines; with garbage predictions
 //! it degrades to the same order, never worse than a constant factor.
 //!
-//! Baselines and wrappers all run through the same `ProtocolDriver`
-//! path: the baseline rows are `Pipeline::PhaseKing` (unauth) and
-//! `Pipeline::TruncatedDolevStrong` (auth) under silent faults; the
-//! wrapper rows face the worst-case disruptor.
+//! Baselines and wrappers all run through the same
+//! `ExperimentConfig::run` path: the baseline rows are
+//! `Pipeline::PhaseKing` (unauth) and `Pipeline::TruncatedDolevStrong`
+//! (auth) under silent faults; the wrapper rows face the worst-case
+//! disruptor.
 
 use ba_bench::{baseline, run_checked, worst_case};
 use ba_workloads::{grid_to_json, ExperimentConfig, Pipeline, SweepGrid, Table};

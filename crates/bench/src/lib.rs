@@ -1,9 +1,10 @@
 //! # ba-bench — experiment harnesses for every claim in the paper
 //!
 //! Each bench target (`cargo bench -p ba-bench`) regenerates one
-//! theorem's complexity table; the printed markdown is what
-//! `EXPERIMENTS.md` records. See `DESIGN.md` §4 for the experiment index
-//! (E1–E9).
+//! theorem's complexity table as markdown. The experiment index is the
+//! target list: `e1_*` to `e10_*`, each headed by the claim it checks
+//! (E1/E2 Theorems 11/12, E3/E4 Theorems 13/14, E5/E6 Theorems 5/6,
+//! E7 Lemma 1, E8 the baseline crossover, E9 ablations, E10 scaling).
 //!
 //! The measured quantities are deterministic (rounds, messages), so the
 //! harnesses run each configuration once per seed and print tables

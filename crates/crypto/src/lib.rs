@@ -6,7 +6,7 @@
 //!
 //! Real asymmetric signatures are outside the sanctioned offline dependency
 //! set, so this crate implements the closest synthetic equivalent
-//! (substitution **S1** in `DESIGN.md`):
+//! (substitution **S1** of this reproduction):
 //!
 //! * [`mod@sha256`] — SHA-256 implemented from scratch and validated
 //!   against the NIST FIPS 180-4 test vectors;

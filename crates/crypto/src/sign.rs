@@ -1,13 +1,13 @@
 //! Simulated PKI: per-process signing keys and a verification oracle.
 //!
-//! See substitution **S1** in `DESIGN.md`: signatures are HMAC-SHA256 tags
-//! under per-process secret keys held privately by the [`Pki`] oracle.
-//! Honest code paths sign with their own [`SigningKey`]; anyone verifies
-//! via [`Pki::verify`]. The Byzantine adversary is handed the signing keys
-//! of corrupted identifiers only (via [`Pki::signing_key`], called by the
-//! experiment harness at corruption time), so within the simulation a
-//! signature by an honest process is unforgeable — exactly the assumption
-//! of §8.1 of the paper.
+//! Substitution **S1** (see the [crate docs](crate)): signatures are
+//! HMAC-SHA256 tags under per-process secret keys held privately by the
+//! [`Pki`] oracle. Honest code paths sign with their own [`SigningKey`];
+//! anyone verifies via [`Pki::verify`]. The Byzantine adversary is handed
+//! the signing keys of corrupted identifiers only (via
+//! [`Pki::signing_key`], called by the experiment harness at corruption
+//! time), so within the simulation a signature by an honest process is
+//! unforgeable — exactly the assumption of §8.1 of the paper.
 
 use crate::encode::Encoder;
 use crate::hmac::{hmac_sha256, tags_equal};

@@ -6,7 +6,8 @@
 //! below the budget, all honest processes must agree by the deadline.
 //! The paper cites Lenzen–Sheikholeslami \[32\] (unauthenticated,
 //! Theorem 9) and its authenticated variant (Theorem 10). This crate
-//! provides the substitutes (S4, S5 in `DESIGN.md`):
+//! provides the substitutes (substitutions S4 and S5 of this
+//! reproduction):
 //!
 //! * [`PhaseKing`] — a 5-round-per-phase validator/king/validator
 //!   protocol, early-stopping in `f + 2` phases (`t < n/3`);

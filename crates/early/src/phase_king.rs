@@ -30,7 +30,8 @@
 //! phases = `5(f + 2)` rounds — the early-stopping bound.
 //!
 //! Messages are `O(n²)` per phase, i.e. `O(fn²)` per run — the documented
-//! deviation from \[32\]'s `O(n²)` total (DESIGN.md, substitution S4).
+//! deviation from \[32\]'s `O(n²)` total (substitution S4; see the
+//! [crate docs](crate)).
 
 use ba_graded::{UnauthGcMsg, UnauthGraded};
 use ba_sim::{

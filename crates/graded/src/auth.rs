@@ -101,8 +101,8 @@ impl AuthGraded {
     /// Creates the state machine for process `me`.
     ///
     /// `session` must be unique per protocol invocation within one
-    /// execution (it binds every signature; see the session-tagging
-    /// decision in `DESIGN.md`).
+    /// execution (it binds every signature; the Algorithm 1 wrapper
+    /// passes its slot index).
     ///
     /// # Panics
     ///

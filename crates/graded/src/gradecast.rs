@@ -1,5 +1,5 @@
 //! Certified gradecast: the single-sender authenticated primitive behind
-//! [`crate::auth::AuthGraded`] (substitution S3 in `DESIGN.md`).
+//! [`crate::auth::AuthGraded`] (substitution S3; see the [crate docs](crate)).
 //!
 //! A *gradecast* lets a designated sender `s` distribute a value such that
 //! (for `t < n/2`, with signatures):

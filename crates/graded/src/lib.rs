@@ -4,7 +4,7 @@
 //! (Algorithm 1, §5) relies on graded consensus as a black box, citing
 //! \[14\] for an unauthenticated and \[37\] for an authenticated
 //! implementation. This crate provides both, built from scratch
-//! (substitutions **S2** and **S3** in `DESIGN.md`):
+//! (substitutions **S2** and **S3** of this reproduction):
 //!
 //! * [`unauth::UnauthGraded`] — a 2-round quorum protocol for `t < n/3`
 //!   with `O(n²)` messages;

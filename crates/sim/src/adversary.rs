@@ -218,28 +218,6 @@ impl<M: Clone> Adversary<M> for ReplayAdversary<M> {
     }
 }
 
-/// Runs two adversarial behaviours in sequence each round (e.g. replay
-/// plus targeted equivocation).
-#[derive(Clone, Debug, Default)]
-pub struct ComposeAdversary<A, B> {
-    first: A,
-    second: B,
-}
-
-impl<A, B> ComposeAdversary<A, B> {
-    /// Composes `first` then `second`.
-    pub fn new(first: A, second: B) -> Self {
-        ComposeAdversary { first, second }
-    }
-}
-
-impl<M, A: Adversary<M>, B: Adversary<M>> Adversary<M> for ComposeAdversary<A, B> {
-    fn act(&mut self, ctx: &mut AdversaryCtx<'_, M>) {
-        self.first.act(ctx);
-        self.second.act(ctx);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -76,14 +76,13 @@ mod runner;
 mod wire;
 
 pub use adversary::{
-    Adversary, AdversaryCtx, ComposeAdversary, CrashAdversary, FnAdversary, ReplayAdversary,
-    SilentAdversary,
+    Adversary, AdversaryCtx, CrashAdversary, FnAdversary, ReplayAdversary, SilentAdversary,
 };
 pub use compose::{forward_sub, sub_inbox};
 pub use envelope::{Envelope, Outbox};
 pub use erased::{erase, ErasedSession, MapOutput};
 pub use id::{ProcessId, Value};
-pub use multiset::{count_distinct_senders, distinct_values_by_sender, plurality_smallest, Tally};
+pub use multiset::{distinct_values_by_sender, plurality_smallest, Tally};
 pub use process::Process;
 pub use runner::{RoundTrace, RunReport, Runner};
 pub use wire::WireSize;

@@ -15,9 +15,10 @@
 //! written against the concrete message type.
 
 use ba_commeff::signed::{AckBody, Certificate, CommEffSignedMsg, ReportBody};
-use ba_core::{AuthWrapperMsg, BitVec, UnauthWrapperMsg};
+use ba_core::{BitVec, SubProtocols, WrapperMsg};
 use ba_crypto::{Pki, Signed, SigningKey};
 use ba_resilient::signed::{ClassifyBody, ResilientSignedMsg};
+use ba_resilient::ResilientMsg;
 use ba_sim::{Adversary, AdversaryCtx, ProcessId, Value};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -40,8 +41,9 @@ pub enum LiarStyle {
 /// Broadcasts crafted prediction vectors in the classification round and
 /// stays silent afterwards.
 ///
-/// Works against both wrapper pipelines via [`ClassifyLiar::unauth`] and
-/// [`ClassifyLiar::auth`].
+/// Works against both wrapper pipelines via [`ClassifyLiar::wrapper`]
+/// and against the resilient pipelines via [`ClassifyLiar::resilient`]
+/// and [`ClassifyLiar::resilient_signed`].
 #[derive(Clone, Debug)]
 pub struct ClassifyLiar {
     n: usize,
@@ -100,22 +102,17 @@ impl ClassifyLiar {
         }
     }
 
-    /// Adapter for the unauthenticated wrapper's message type.
-    pub fn unauth(self) -> impl Adversary<UnauthWrapperMsg> {
-        UnauthLiar(self)
-    }
-
-    /// Adapter for the authenticated wrapper's message type.
-    pub fn auth(self) -> impl Adversary<AuthWrapperMsg> {
-        AuthLiar(self)
+    /// Adapter for either wrapper's message type.
+    pub fn wrapper<C: SubProtocols + 'static>(self) -> Box<dyn Adversary<WrapperMsg<C>>> {
+        Box::new(Liar(self, WrapperMsg::Classify))
     }
 
     /// Adapter for the resilient pipeline's message type — the only
     /// non-wrapper family with a real classification round to lie in
     /// (`RandomPerRecipient` there splits the honest suspicion views,
     /// exercising the schedule's liveness suffix).
-    pub fn resilient(self) -> impl Adversary<ba_resilient::ResilientMsg> {
-        ResilientLiar(self)
+    pub fn resilient(self) -> Box<dyn Adversary<ResilientMsg>> {
+        Box::new(Liar(self, ResilientMsg::Classify))
     }
 
     /// Adapter for the *signed* resilient pipeline: the same crafted
@@ -133,24 +130,12 @@ impl ClassifyLiar {
     }
 }
 
-struct UnauthLiar(ClassifyLiar);
-impl Adversary<UnauthWrapperMsg> for UnauthLiar {
-    fn act(&mut self, ctx: &mut AdversaryCtx<'_, UnauthWrapperMsg>) {
-        self.0.emit(ctx, UnauthWrapperMsg::Classify);
-    }
-}
+/// A [`ClassifyLiar`] whose vectors travel in the message `wrap` builds.
+struct Liar<F>(ClassifyLiar, F);
 
-struct AuthLiar(ClassifyLiar);
-impl Adversary<AuthWrapperMsg> for AuthLiar {
-    fn act(&mut self, ctx: &mut AdversaryCtx<'_, AuthWrapperMsg>) {
-        self.0.emit(ctx, AuthWrapperMsg::Classify);
-    }
-}
-
-struct ResilientLiar(ClassifyLiar);
-impl Adversary<ba_resilient::ResilientMsg> for ResilientLiar {
-    fn act(&mut self, ctx: &mut AdversaryCtx<'_, ba_resilient::ResilientMsg>) {
-        self.0.emit(ctx, ba_resilient::ResilientMsg::Classify);
+impl<M: Clone, F: Fn(Arc<BitVec>) -> M> Adversary<M> for Liar<F> {
+    fn act(&mut self, ctx: &mut AdversaryCtx<'_, M>) {
+        self.0.emit(ctx, &self.1);
     }
 }
 

@@ -1,74 +1,58 @@
-//! The `ProtocolDriver` trait: every protocol family behind one API.
+//! Protocol families as data: one [`Family`] row per
+//! [`Pipeline`](crate::experiment::Pipeline).
 //!
 //! The paper's headline claim — `O(min{B/n + 1, f})` rounds, never
 //! worse than a prediction-free early-stopping baseline — is a
-//! comparison *across protocol families*, so the harness must be able
-//! to run all of them through one code path. A [`ProtocolDriver`] knows
-//! how to turn a [`SessionSpec`] (system size, fault set, prediction
+//! comparison *across protocol families*, so the harness runs all of
+//! them through one code path. A family row holds everything that path
+//! needs: the display name, the resilience bound, whether the family
+//! consumes predictions, its round budget, the shapes
+//! [`driver_table`](crate::tables::driver_table) prints, and a `build`
+//! fn that turns a [`SessionSpec`] (system size, fault set, prediction
 //! matrix, inputs, adversary, seed) into a type-erased
-//! [`ErasedSession`]; the generic engine in
-//! [`crate::experiment`] then runs it and measures, identically for
-//! every family.
+//! [`ErasedSession`]. [`ExperimentConfig::run`] then runs and measures
+//! it identically for every family — rounds, messages and
+//! [`ba_sim::WireSize`] bytes. A new family is a new `Pipeline` variant
+//! plus one row in `FAMILIES`.
 //!
-//! Eight drivers ship today, one per [`crate::experiment::Pipeline`]
-//! variant:
-//!
-//! | driver | protocol | resilience | predictions |
-//! |---|---|---|---|
-//! | [`UnauthWrapperDriver`] | Algorithm 1 over §7 (Theorem 11) | `3t < n` | yes |
-//! | [`AuthWrapperDriver`] | Algorithm 1 over §8 (Theorem 12) | `2t < n` | yes |
-//! | [`PhaseKingDriver`] | early-stopping phase-king baseline | `3t < n` | ignored |
-//! | [`TruncatedDolevStrongDriver`] | full Dolev–Strong baseline | `2t < n` | ignored |
-//! | [`CommEffDriver`] | committee-sampled fast lane + phase-king fallback (Dzulfikar–Gilbert) | `3t < n` | yes |
-//! | [`ResilientDriver`] | suspicion-ordered king rotation (Dallot et al.) | `3t < n` | yes |
-//! | [`CommEffSignedDriver`] | signed certify certificates + echo: unconditional lane choice | `3t < n` | yes |
-//! | [`ResilientSignedDriver`] | signed classification exchange: agreeing views, `t + 2` phases, no suffix | `3t < n` | yes |
-//!
-//! This is the extension seam for related-work pipelines (sharded and
-//! batched execution modes are the open ones): a new protocol plugs
-//! into every bench, example, and sweep by implementing this trait and
-//! (optionally) gaining a `Pipeline` variant. Since the runner charges
-//! every session its [`ba_sim::WireSize`] byte cost, each driver's
-//! communication profile is measured uniformly alongside its round
-//! count.
-//!
-//! ## Adversary mapping for drivers without a classification round
+//! ## Adversary mapping for families without a classification round
 //!
 //! [`AdversaryKind`] names behaviours of the *wrapper* execution model.
 //! The baselines and the communication-efficient pipelines have no
 //! classification round to lie in, so for them `ClassifyLiar` degrades
 //! to silence (its lies have no audience). `Disruptor` maps to the
 //! strongest behaviour each family admits: the schedule-aware
-//! coalitions for the resilient pair
-//! ([`ba_resilient::ResilientDisruptor`] /
+//! coalitions for the wrappers ([`crate::disruptor`]) and the resilient
+//! pair ([`ba_resilient::ResilientDisruptor`] /
 //! [`ba_resilient::SignedResilientDisruptor`]), the full
 //! signature-equivocation menu for the signed committee pipeline
 //! ([`crate::adversaries::SignedCertEquivocator`]), and a 1-round
 //! replay coalition for the baselines and the unsigned committee
 //! pipeline — documented deviations, chosen over panicking so that
 //! sweeps can hold the adversary column fixed across pipelines.
+//!
+//! [`ExperimentConfig::run`]: crate::experiment::ExperimentConfig::run
 
 use crate::adversaries::{ClassifyLiar, SignedCertEquivocator};
+use crate::disruptor::{AuthDisruptor, UnauthDisruptor};
 use crate::experiment::{AdversaryKind, InputPattern};
 use ba_commeff::{CommEff, CommEffSigned};
-use ba_core::{
-    AuthWrapper, AuthWrapperMsg, BitVec, MisclassificationReport, PredictionMatrix, UnauthWrapper,
-    UnauthWrapperMsg,
-};
+use ba_core::{AuthWrapper, BitVec, MisclassificationReport, PredictionMatrix, UnauthWrapper};
 use ba_crypto::{Pki, SigningKey};
 use ba_early::{PhaseKing, PhaseKingOutput, TruncatedDs};
 use ba_resilient::{ResilientBa, ResilientDisruptor, ResilientSigned, SignedResilientDisruptor};
 use ba_sim::{
-    erase, Adversary, ErasedSession, MapOutput, ProcessId, ReplayAdversary, SilentAdversary, Value,
+    erase, Adversary, ErasedSession, MapOutput, Process, ProcessId, ReplayAdversary,
+    SilentAdversary, Value,
 };
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 use std::sync::Arc;
 
-/// Everything a driver needs to build one session. Produced by the
+/// Everything a family needs to build one session. Produced by the
 /// experiment engine from an
 /// [`ExperimentConfig`](crate::experiment::ExperimentConfig); shared by
-/// all drivers so that the same workload is presented to every
-/// protocol family.
+/// all families so that the same workload is presented to every
+/// protocol.
 #[derive(Clone, Debug)]
 pub struct SessionSpec<'a> {
     /// System size.
@@ -78,7 +62,7 @@ pub struct SessionSpec<'a> {
     /// The corrupted identifiers (`|faulty| = f ≤ t`).
     pub faulty: &'a BTreeSet<ProcessId>,
     /// Prediction matrix (budgeted wrong bits already injected).
-    /// Prediction-free drivers ignore it.
+    /// Prediction-free families ignore it.
     pub matrix: &'a PredictionMatrix,
     /// Honest input pattern.
     pub inputs: InputPattern,
@@ -112,33 +96,350 @@ impl SessionSpec<'_> {
     pub fn faulty_vec(&self) -> Vec<ProcessId> {
         self.faulty.iter().copied().collect()
     }
+
+    /// The simulated PKI of the signed families.
+    fn pki(&self) -> Arc<Pki> {
+        Arc::new(Pki::new(self.n, self.seed ^ 0x91c1))
+    }
+
+    /// The signing keys of the corrupted identifiers — the only keys
+    /// the harness ever hands an adversary (simulated-PKI
+    /// unforgeability is exactly this discipline; see
+    /// [`ba_crypto::Pki::signing_key`]).
+    fn corrupted_keys(&self, pki: &Pki) -> Vec<SigningKey> {
+        self.faulty.iter().map(|p| pki.signing_key(p.0)).collect()
+    }
 }
 
-/// A protocol family runnable by the generic experiment engine.
-///
-/// Implementations build their honest-process map and adversary from a
-/// shared [`SessionSpec`] and erase the message type behind
-/// [`ErasedSession`], so one engine can run, measure, and compare any
-/// protocol.
-pub trait ProtocolDriver {
+/// A family's resilience bound.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Resilience {
+    /// `3t < n`: unauthenticated quorums (and the signed variants that
+    /// keep their round structure).
+    Third,
+    /// `2t < n`: authenticated agreement.
+    Half,
+}
+
+impl Resilience {
+    /// The largest fault bound `t` tolerated at size `n`.
+    pub const fn max_faults(self, n: usize) -> usize {
+        match self {
+            Resilience::Third => n.saturating_sub(1) / 3,
+            Resilience::Half => n.saturating_sub(1) / 2,
+        }
+    }
+
+    /// The bound as printed in [`driver_table`](crate::tables::driver_table).
+    pub const fn shape(self) -> &'static str {
+        match self {
+            Resilience::Third => "3t < n",
+            Resilience::Half => "2t < n",
+        }
+    }
+}
+
+/// One protocol family: what the experiment engine needs to build, run
+/// and describe its sessions.
+#[derive(Clone, Copy, Debug)]
+pub struct Family {
+    name: &'static str,
+    resilience: Resilience,
+    predictions: bool,
+    max_rounds: fn(usize, usize) -> u64,
+    round_shape: &'static str,
+    comm_shape: &'static str,
+    build: fn(&SessionSpec<'_>) -> Box<dyn ErasedSession>,
+}
+
+impl Family {
     /// Stable display name (bench tables, JSON output).
-    fn name(&self) -> &'static str;
+    pub fn name(&self) -> &'static str {
+        self.name
+    }
 
-    /// The largest fault bound `t` this protocol tolerates at size `n`
-    /// (e.g. `⌊(n−1)/3⌋` for unauthenticated quorum protocols).
-    fn max_faults(&self, n: usize) -> usize;
+    /// The family's resilience bound.
+    pub fn resilience(&self) -> Resilience {
+        self.resilience
+    }
 
-    /// Whether the protocol consumes the prediction matrix. Drivers
-    /// returning `false` are the prediction-free baselines; the engine
-    /// skips their (vacuous) misclassification measurement.
-    fn uses_predictions(&self) -> bool;
+    /// The largest fault bound `t` this family tolerates at size `n`.
+    pub fn max_faults(&self, n: usize) -> usize {
+        self.resilience.max_faults(n)
+    }
+
+    /// Whether the family consumes the prediction matrix. The
+    /// prediction-free baselines return `false`, and the engine skips
+    /// their (vacuous) misclassification measurement.
+    pub fn uses_predictions(&self) -> bool {
+        self.predictions
+    }
 
     /// Round budget sufficient for termination at `(n, t)`.
-    fn max_rounds(&self, n: usize, t: usize) -> u64;
+    pub fn max_rounds(&self, n: usize, t: usize) -> u64 {
+        (self.max_rounds)(n, t)
+    }
+
+    /// The round-complexity shape printed by
+    /// [`driver_table`](crate::tables::driver_table).
+    pub fn round_shape(&self) -> &'static str {
+        self.round_shape
+    }
+
+    /// The communication shape printed by
+    /// [`driver_table`](crate::tables::driver_table).
+    pub fn comm_shape(&self) -> &'static str {
+        self.comm_shape
+    }
 
     /// Builds the full session — honest processes and adversary — for
     /// one experiment.
-    fn build(&self, spec: &SessionSpec<'_>) -> Box<dyn ErasedSession>;
+    pub fn build(&self, spec: &SessionSpec<'_>) -> Box<dyn ErasedSession> {
+        (self.build)(spec)
+    }
+}
+
+/// One row per [`Pipeline`](crate::experiment::Pipeline), in
+/// [`Pipeline::ALL`](crate::experiment::Pipeline::ALL) order.
+pub(crate) static FAMILIES: [Family; 8] = [
+    Family {
+        name: "unauth-wrapper",
+        resilience: Resilience::Third,
+        predictions: true,
+        max_rounds: |n, t| UnauthWrapper::schedule(n, t).total_steps + 4,
+        round_shape: "O(min{B/n + 1, f})",
+        comm_shape: "O(f·n²)",
+        build: |spec| {
+            let (n, t) = (spec.n, spec.t);
+            session(
+                spec,
+                |id, v| UnauthWrapper::new(id, n, t, v, spec.matrix.row(id).clone()),
+                adversary(spec, ClassifyLiar::wrapper, || {
+                    Box::new(UnauthDisruptor::new(n, t, spec.faulty_vec()))
+                }),
+                |w| w.classification().map(bits_of),
+            )
+        },
+    },
+    Family {
+        name: "auth-wrapper",
+        resilience: Resilience::Half,
+        predictions: true,
+        max_rounds: |n, t| AuthWrapper::schedule(n, t).total_steps + 4,
+        round_shape: "O(min{B/n + 1, f})",
+        comm_shape: "O(n²) chain batches",
+        build: |spec| {
+            let (n, t) = (spec.n, spec.t);
+            let pki = spec.pki();
+            session(
+                spec,
+                |id, v| {
+                    let row = spec.matrix.row(id).clone();
+                    AuthWrapper::new(id, n, t, v, row, Arc::clone(&pki), pki.signing_key(id.0))
+                },
+                adversary(spec, ClassifyLiar::wrapper, || {
+                    Box::new(AuthDisruptor::new(n, t, spec.faulty_vec(), &pki))
+                }),
+                |w| w.classification().map(bits_of),
+            )
+        },
+    },
+    Family {
+        name: "phase-king",
+        resilience: Resilience::Third,
+        predictions: false,
+        max_rounds: |_, t| PhaseKing::rounds(PhaseKing::phases_for(t)) + 2,
+        round_shape: "O(f)",
+        comm_shape: "O(f·n²)",
+        build: |spec| {
+            session(
+                spec,
+                |id, v| {
+                    let king = PhaseKing::full(id, spec.n, spec.t, v);
+                    MapOutput::new(king, |o: &PhaseKingOutput| o.decision.unwrap_or(o.value))
+                },
+                baseline_adversary(spec),
+                |_| None,
+            )
+        },
+    },
+    Family {
+        name: "truncated-dolev-strong",
+        resilience: Resilience::Half,
+        predictions: false,
+        max_rounds: |_, t| TruncatedDs::rounds(t) + 2,
+        round_shape: "t + 1",
+        comm_shape: "Ω(n²) chain batches",
+        build: |spec| {
+            let pki = spec.pki();
+            let tag = spec.seed ^ 0x7d5;
+            session(
+                spec,
+                |id, v| {
+                    let key = pki.signing_key(id.0);
+                    TruncatedDs::full(id, spec.n, spec.t, tag, v, Arc::clone(&pki), key)
+                },
+                baseline_adversary(spec),
+                |_| None,
+            )
+        },
+    },
+    // Dzulfikar–Gilbert: committee-sampled dissemination in a 5-round
+    // fast lane, phase-king fallback. It consumes the prediction matrix
+    // raw (no Algorithm 2), so the prediction string is its probe.
+    Family {
+        name: "comm-eff",
+        resilience: Resilience::Third,
+        predictions: true,
+        max_rounds: |_, t| CommEff::rounds(t) + 2,
+        round_shape: "5 fast / O(t) fallback",
+        comm_shape: "Θ(n·f̂) fast lane",
+        build: |spec| {
+            let (n, t) = (spec.n, spec.t);
+            session(
+                spec,
+                |id, v| CommEff::new(id, n, t, v, spec.matrix.row(id).clone()),
+                baseline_adversary(spec),
+                |p| Some(bits_of(p.prediction())),
+            )
+        },
+    },
+    // Dallot et al.: a classification exchange, then phase king in
+    // aggregated-suspicion throne order — one stalled phase per faulty
+    // identifier the budget promotes, never a lane cliff.
+    Family {
+        name: "resilient",
+        resilience: Resilience::Third,
+        predictions: true,
+        max_rounds: |_, t| ResilientBa::rounds(t) + 2,
+        round_shape: "O(promoted(B) + 1), ≤ 2t + 3 phases",
+        comm_shape: "O((promoted(B) + 1)·n²)",
+        build: |spec| {
+            let (n, t) = (spec.n, spec.t);
+            session(
+                spec,
+                |id, v| ResilientBa::new(id, n, t, v, spec.matrix.row(id).clone()),
+                adversary(spec, ClassifyLiar::resilient, || {
+                    Box::new(ResilientDisruptor::new(n, t, spec.faulty_vec()))
+                }),
+                |p| p.classification().map(bits_of),
+            )
+        },
+    },
+    // The committee fast lane with signed submit/report/ack traffic and
+    // a transferable, echoed certify certificate, so an equivocating
+    // aggregator can no longer split the fast/fallback decision.
+    Family {
+        name: "comm-eff-signed",
+        resilience: Resilience::Third,
+        predictions: true,
+        max_rounds: |_, t| CommEffSigned::rounds(t) + 2,
+        round_shape: "6 fast / O(t) fallback, uniform lane",
+        comm_shape: "O(n³) certificate echo",
+        build: |spec| {
+            let (n, t) = (spec.n, spec.t);
+            let pki = spec.pki();
+            session(
+                spec,
+                |id, v| {
+                    let row = spec.matrix.row(id).clone();
+                    CommEffSigned::new(id, n, t, v, row, Arc::clone(&pki), pki.signing_key(id.0))
+                },
+                adversary(spec, silent, || {
+                    let keys = spec.corrupted_keys(&pki);
+                    Box::new(SignedCertEquivocator::new(n, t, keys, Arc::clone(&pki)))
+                }),
+                |p| Some(bits_of(p.prediction())),
+            )
+        },
+    },
+    // The resilient throne schedule over a signed, echoed
+    // classification exchange: equivocators are convicted by their own
+    // signatures, honest suspicion views agree, and the budget shrinks
+    // from 2t + 3 phases to a suffix-free t + 2.
+    Family {
+        name: "resilient-signed",
+        resilience: Resilience::Third,
+        predictions: true,
+        max_rounds: |_, t| ResilientSigned::rounds(t) + 2,
+        round_shape: "O(promoted(B) + 1), ≤ t + 2 phases",
+        comm_shape: "O(n³) signed exchange",
+        build: |spec| {
+            let (n, t) = (spec.n, spec.t);
+            let pki = spec.pki();
+            let keys = || spec.corrupted_keys(&pki);
+            session(
+                spec,
+                |id, v| {
+                    let row = spec.matrix.row(id).clone();
+                    ResilientSigned::new(id, n, t, v, row, Arc::clone(&pki), pki.signing_key(id.0))
+                },
+                adversary(
+                    spec,
+                    |liar| Box::new(liar.resilient_signed(keys())),
+                    || {
+                        Box::new(SignedResilientDisruptor::new(
+                            n,
+                            t,
+                            keys(),
+                            Arc::clone(&pki),
+                        ))
+                    },
+                ),
+                |p| p.classification().map(bits_of),
+            )
+        },
+    },
+];
+
+/// Builds one honest process per honest id with `make(id, input)` and
+/// erases the session; `probe` exposes a process's classification bits
+/// (`None` for families without any).
+fn session<P>(
+    spec: &SessionSpec<'_>,
+    mut make: impl FnMut(ProcessId, Value) -> P,
+    adversary: Box<dyn Adversary<P::Msg>>,
+    probe: fn(&P) -> Option<Vec<bool>>,
+) -> Box<dyn ErasedSession>
+where
+    P: Process<Output = Value> + 'static,
+{
+    let honest = spec
+        .honest_slots()
+        .map(|(slot, id)| (id, make(id, spec.input_for(slot))))
+        .collect();
+    erase(spec.n, honest, adversary, probe)
+}
+
+/// Maps the spec's [`AdversaryKind`] onto one family: `liar` answers
+/// `ClassifyLiar`, `disruptor` answers `Disruptor`.
+fn adversary<M: Clone + 'static>(
+    spec: &SessionSpec<'_>,
+    liar: impl FnOnce(ClassifyLiar) -> Box<dyn Adversary<M>>,
+    disruptor: impl FnOnce() -> Box<dyn Adversary<M>>,
+) -> Box<dyn Adversary<M>> {
+    match spec.adversary {
+        AdversaryKind::Silent => Box::new(SilentAdversary),
+        AdversaryKind::ClassifyLiar(style) => liar(ClassifyLiar::new(
+            spec.n,
+            spec.faulty_vec(),
+            style,
+            spec.seed,
+        )),
+        AdversaryKind::Replay => Box::new(ReplayAdversary::new(1)),
+        AdversaryKind::Disruptor => disruptor(),
+    }
+}
+
+/// A liar with no classification round to lie in stays silent.
+fn silent<M: Clone + 'static>(_: ClassifyLiar) -> Box<dyn Adversary<M>> {
+    Box::new(SilentAdversary)
+}
+
+/// The baselines' and the unsigned committee pipeline's mapping:
+/// silent liars, a 1-round replay coalition as `Disruptor`.
+fn baseline_adversary<M: Clone + 'static>(spec: &SessionSpec<'_>) -> Box<dyn Adversary<M>> {
+    adversary(spec, silent, || Box::new(ReplayAdversary::new(1)))
 }
 
 /// Converts a classification bit vector into the erased probe format.
@@ -148,7 +449,7 @@ fn bits_of(c: &BitVec) -> Vec<bool> {
 
 /// Computes the realized misclassification count `k_A` from erased
 /// probes — the one measurement path shared by every
-/// prediction-consuming driver (previously copy-pasted per pipeline).
+/// prediction-consuming family.
 pub fn k_a_from_probes(
     n: usize,
     faulty: &BTreeSet<ProcessId>,
@@ -162,466 +463,10 @@ pub fn k_a_from_probes(
     MisclassificationReport::compute(n, faulty, &refs).k_a()
 }
 
-/// Theorem 11 pipeline: Algorithm 1 over the unauthenticated
-/// subprotocols (`3t < n`, no signatures).
-#[derive(Clone, Copy, Debug, Default)]
-pub struct UnauthWrapperDriver;
-
-impl ProtocolDriver for UnauthWrapperDriver {
-    fn name(&self) -> &'static str {
-        "unauth-wrapper"
-    }
-
-    fn max_faults(&self, n: usize) -> usize {
-        n.saturating_sub(1) / 3
-    }
-
-    fn uses_predictions(&self) -> bool {
-        true
-    }
-
-    fn max_rounds(&self, n: usize, t: usize) -> u64 {
-        UnauthWrapper::schedule(n, t).total_steps + 4
-    }
-
-    fn build(&self, spec: &SessionSpec<'_>) -> Box<dyn ErasedSession> {
-        let mut honest: BTreeMap<ProcessId, UnauthWrapper> = BTreeMap::new();
-        for (slot, id) in spec.honest_slots() {
-            honest.insert(
-                id,
-                UnauthWrapper::new(
-                    id,
-                    spec.n,
-                    spec.t,
-                    spec.input_for(slot),
-                    spec.matrix.row(id).clone(),
-                ),
-            );
-        }
-        let adversary: Box<dyn Adversary<UnauthWrapperMsg>> = match spec.adversary {
-            AdversaryKind::Silent => Box::new(SilentAdversary),
-            AdversaryKind::ClassifyLiar(style) => {
-                Box::new(ClassifyLiar::new(spec.n, spec.faulty_vec(), style, spec.seed).unauth())
-            }
-            AdversaryKind::Replay => Box::new(ReplayAdversary::new(1)),
-            AdversaryKind::Disruptor => Box::new(crate::disruptor::UnauthDisruptor::new(
-                spec.n,
-                spec.t,
-                spec.faulty_vec(),
-            )),
-        };
-        erase(spec.n, honest, adversary, |w: &UnauthWrapper| {
-            w.classification().map(bits_of)
-        })
-    }
-}
-
-/// Theorem 12 pipeline: Algorithm 1 over the authenticated
-/// subprotocols (`2t < n`, signatures).
-#[derive(Clone, Copy, Debug, Default)]
-pub struct AuthWrapperDriver;
-
-impl ProtocolDriver for AuthWrapperDriver {
-    fn name(&self) -> &'static str {
-        "auth-wrapper"
-    }
-
-    fn max_faults(&self, n: usize) -> usize {
-        n.saturating_sub(1) / 2
-    }
-
-    fn uses_predictions(&self) -> bool {
-        true
-    }
-
-    fn max_rounds(&self, n: usize, t: usize) -> u64 {
-        AuthWrapper::schedule(n, t).total_steps + 4
-    }
-
-    fn build(&self, spec: &SessionSpec<'_>) -> Box<dyn ErasedSession> {
-        let pki = Arc::new(Pki::new(spec.n, spec.seed ^ 0x91c1));
-        let mut honest: BTreeMap<ProcessId, AuthWrapper> = BTreeMap::new();
-        for (slot, id) in spec.honest_slots() {
-            honest.insert(
-                id,
-                AuthWrapper::new(
-                    id,
-                    spec.n,
-                    spec.t,
-                    spec.input_for(slot),
-                    spec.matrix.row(id).clone(),
-                    Arc::clone(&pki),
-                    pki.signing_key(id.0),
-                ),
-            );
-        }
-        let adversary: Box<dyn Adversary<AuthWrapperMsg>> = match spec.adversary {
-            AdversaryKind::Silent => Box::new(SilentAdversary),
-            AdversaryKind::ClassifyLiar(style) => {
-                Box::new(ClassifyLiar::new(spec.n, spec.faulty_vec(), style, spec.seed).auth())
-            }
-            AdversaryKind::Replay => Box::new(ReplayAdversary::new(1)),
-            AdversaryKind::Disruptor => Box::new(crate::disruptor::AuthDisruptor::new(
-                spec.n,
-                spec.t,
-                spec.faulty_vec(),
-                &pki,
-            )),
-        };
-        erase(spec.n, honest, adversary, |w: &AuthWrapper| {
-            w.classification().map(bits_of)
-        })
-    }
-}
-
-/// Maps an [`AdversaryKind`] onto a message type the prediction-free
-/// baselines understand (see the module docs for the degradation
-/// rules).
-fn baseline_adversary<M: Clone + 'static>(kind: AdversaryKind) -> Box<dyn Adversary<M>> {
-    match kind {
-        AdversaryKind::Silent | AdversaryKind::ClassifyLiar(_) => Box::new(SilentAdversary),
-        AdversaryKind::Replay | AdversaryKind::Disruptor => Box::new(ReplayAdversary::new(1)),
-    }
-}
-
-/// Prediction-free unauthenticated baseline: early-stopping phase-king
-/// with the full `t + 2` phase budget (`3t < n`).
-#[derive(Clone, Copy, Debug, Default)]
-pub struct PhaseKingDriver;
-
-impl ProtocolDriver for PhaseKingDriver {
-    fn name(&self) -> &'static str {
-        "phase-king"
-    }
-
-    fn max_faults(&self, n: usize) -> usize {
-        n.saturating_sub(1) / 3
-    }
-
-    fn uses_predictions(&self) -> bool {
-        false
-    }
-
-    fn max_rounds(&self, _n: usize, t: usize) -> u64 {
-        PhaseKing::rounds(PhaseKing::phases_for(t)) + 2
-    }
-
-    fn build(&self, spec: &SessionSpec<'_>) -> Box<dyn ErasedSession> {
-        type P = MapOutput<PhaseKing, fn(&PhaseKingOutput) -> Value>;
-        fn decided(o: &PhaseKingOutput) -> Value {
-            o.decision.unwrap_or(o.value)
-        }
-        let mut honest: BTreeMap<ProcessId, P> = BTreeMap::new();
-        for (slot, id) in spec.honest_slots() {
-            honest.insert(
-                id,
-                MapOutput::new(
-                    PhaseKing::full(id, spec.n, spec.t, spec.input_for(slot)),
-                    decided as fn(&PhaseKingOutput) -> Value,
-                ),
-            );
-        }
-        let adversary = baseline_adversary(spec.adversary);
-        erase(spec.n, honest, adversary, |_: &P| None)
-    }
-}
-
-/// Prediction-free authenticated baseline: full Dolev–Strong
-/// (`k = t`, `2t < n`).
-#[derive(Clone, Copy, Debug, Default)]
-pub struct TruncatedDolevStrongDriver;
-
-impl ProtocolDriver for TruncatedDolevStrongDriver {
-    fn name(&self) -> &'static str {
-        "truncated-dolev-strong"
-    }
-
-    fn max_faults(&self, n: usize) -> usize {
-        n.saturating_sub(1) / 2
-    }
-
-    fn uses_predictions(&self) -> bool {
-        false
-    }
-
-    fn max_rounds(&self, _n: usize, t: usize) -> u64 {
-        TruncatedDs::rounds(t) + 2
-    }
-
-    fn build(&self, spec: &SessionSpec<'_>) -> Box<dyn ErasedSession> {
-        let pki = Arc::new(Pki::new(spec.n, spec.seed ^ 0x91c1));
-        let session = spec.seed ^ 0x7d5;
-        let mut honest: BTreeMap<ProcessId, TruncatedDs> = BTreeMap::new();
-        for (slot, id) in spec.honest_slots() {
-            honest.insert(
-                id,
-                TruncatedDs::full(
-                    id,
-                    spec.n,
-                    spec.t,
-                    session,
-                    spec.input_for(slot),
-                    Arc::clone(&pki),
-                    pki.signing_key(id.0),
-                ),
-            );
-        }
-        let adversary = baseline_adversary(spec.adversary);
-        erase(spec.n, honest, adversary, |_: &TruncatedDs| None)
-    }
-}
-
-/// Communication-efficient BA with predictions (Dzulfikar–Gilbert):
-/// committee-sampled dissemination in a 5-round fast lane, phase-king
-/// fallback when the predictions prove unreliable (`3t < n`).
-///
-/// Consumes the prediction matrix raw (no Algorithm 2 refinement), so
-/// its probe surface — and therefore its measured `k_A` — is the
-/// prediction string itself.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct CommEffDriver;
-
-impl ProtocolDriver for CommEffDriver {
-    fn name(&self) -> &'static str {
-        "comm-eff"
-    }
-
-    fn max_faults(&self, n: usize) -> usize {
-        n.saturating_sub(1) / 3
-    }
-
-    fn uses_predictions(&self) -> bool {
-        true
-    }
-
-    fn max_rounds(&self, _n: usize, t: usize) -> u64 {
-        CommEff::rounds(t) + 2
-    }
-
-    fn build(&self, spec: &SessionSpec<'_>) -> Box<dyn ErasedSession> {
-        let mut honest: BTreeMap<ProcessId, CommEff> = BTreeMap::new();
-        for (slot, id) in spec.honest_slots() {
-            honest.insert(
-                id,
-                CommEff::new(
-                    id,
-                    spec.n,
-                    spec.t,
-                    spec.input_for(slot),
-                    spec.matrix.row(id).clone(),
-                ),
-            );
-        }
-        // No classification round, no schedule: the adversary kinds
-        // degrade exactly like the prediction-free baselines'.
-        let adversary = baseline_adversary(spec.adversary);
-        erase(spec.n, honest, adversary, |p: &CommEff| {
-            Some(bits_of(p.prediction()))
-        })
-    }
-}
-
-/// Resilient BA with predictions (Dallot et al.): a classification
-/// exchange followed by a phase king whose throne order is the
-/// aggregated suspicion order, so rounds degrade *gracefully* — one
-/// phase per faulty identifier the error budget promotes — instead of
-/// cliff-switching between a fast lane and a fallback (`3t < n`).
-///
-/// This family has a real classification round, so — unlike the
-/// baselines and the committee pipeline — `ClassifyLiar` attacks it
-/// natively, and `Disruptor` maps to the schedule-aware
-/// [`ba_resilient::ResilientDisruptor`] coalition.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct ResilientDriver;
-
-impl ProtocolDriver for ResilientDriver {
-    fn name(&self) -> &'static str {
-        "resilient"
-    }
-
-    fn max_faults(&self, n: usize) -> usize {
-        n.saturating_sub(1) / 3
-    }
-
-    fn uses_predictions(&self) -> bool {
-        true
-    }
-
-    fn max_rounds(&self, _n: usize, t: usize) -> u64 {
-        ResilientBa::rounds(t) + 2
-    }
-
-    fn build(&self, spec: &SessionSpec<'_>) -> Box<dyn ErasedSession> {
-        let mut honest: BTreeMap<ProcessId, ResilientBa> = BTreeMap::new();
-        for (slot, id) in spec.honest_slots() {
-            honest.insert(
-                id,
-                ResilientBa::new(
-                    id,
-                    spec.n,
-                    spec.t,
-                    spec.input_for(slot),
-                    spec.matrix.row(id).clone(),
-                ),
-            );
-        }
-        let adversary: Box<dyn Adversary<ba_resilient::ResilientMsg>> = match spec.adversary {
-            AdversaryKind::Silent => Box::new(SilentAdversary),
-            AdversaryKind::ClassifyLiar(style) => {
-                Box::new(ClassifyLiar::new(spec.n, spec.faulty_vec(), style, spec.seed).resilient())
-            }
-            AdversaryKind::Replay => Box::new(ReplayAdversary::new(1)),
-            AdversaryKind::Disruptor => {
-                Box::new(ResilientDisruptor::new(spec.n, spec.t, spec.faulty_vec()))
-            }
-        };
-        erase(spec.n, honest, adversary, |p: &ResilientBa| {
-            p.classification().map(bits_of)
-        })
-    }
-}
-
-/// The signing keys of the corrupted identifiers — the only keys the
-/// harness ever hands an adversary (simulated-PKI unforgeability is
-/// exactly this discipline; see [`ba_crypto::Pki::signing_key`]).
-fn corrupted_keys(pki: &Pki, faulty: &BTreeSet<ProcessId>) -> Vec<SigningKey> {
-    faulty.iter().map(|p| pki.signing_key(p.0)).collect()
-}
-
-/// Signed communication-efficient BA with predictions: the same
-/// committee-sampled fast lane as [`CommEffDriver`], with signed
-/// submit/report/ack traffic and a transferable, echoed certify
-/// certificate — so an equivocating aggregator can no longer split the
-/// fast/fallback decision (`3t < n`).
-///
-/// `Disruptor` maps to the full signature-equivocation menu
-/// ([`SignedCertEquivocator`]: forged tags, replayed honest signatures,
-/// conflicting own-key reports, withheld genuine certificates);
-/// `ClassifyLiar` degrades to silence exactly as for the unsigned
-/// committee pipeline (no classification round to lie in).
-#[derive(Clone, Copy, Debug, Default)]
-pub struct CommEffSignedDriver;
-
-impl ProtocolDriver for CommEffSignedDriver {
-    fn name(&self) -> &'static str {
-        "comm-eff-signed"
-    }
-
-    fn max_faults(&self, n: usize) -> usize {
-        n.saturating_sub(1) / 3
-    }
-
-    fn uses_predictions(&self) -> bool {
-        true
-    }
-
-    fn max_rounds(&self, _n: usize, t: usize) -> u64 {
-        CommEffSigned::rounds(t) + 2
-    }
-
-    fn build(&self, spec: &SessionSpec<'_>) -> Box<dyn ErasedSession> {
-        let pki = Arc::new(Pki::new(spec.n, spec.seed ^ 0x91c1));
-        let mut honest: BTreeMap<ProcessId, CommEffSigned> = BTreeMap::new();
-        for (slot, id) in spec.honest_slots() {
-            honest.insert(
-                id,
-                CommEffSigned::new(
-                    id,
-                    spec.n,
-                    spec.t,
-                    spec.input_for(slot),
-                    spec.matrix.row(id).clone(),
-                    Arc::clone(&pki),
-                    pki.signing_key(id.0),
-                ),
-            );
-        }
-        let adversary: Box<dyn Adversary<ba_commeff::CommEffSignedMsg>> = match spec.adversary {
-            AdversaryKind::Silent | AdversaryKind::ClassifyLiar(_) => Box::new(SilentAdversary),
-            AdversaryKind::Replay => Box::new(ReplayAdversary::new(1)),
-            AdversaryKind::Disruptor => Box::new(SignedCertEquivocator::new(
-                spec.n,
-                spec.t,
-                corrupted_keys(&pki, spec.faulty),
-                Arc::clone(&pki),
-            )),
-        };
-        erase(spec.n, honest, adversary, |p: &CommEffSigned| {
-            Some(bits_of(p.prediction()))
-        })
-    }
-}
-
-/// Signed resilient BA with predictions: the same suspicion-ordered
-/// throne schedule as [`ResilientDriver`], but the classification
-/// exchange is signed and echoed, equivocators are convicted by their
-/// own signatures, and the honest suspicion views therefore agree —
-/// shrinking the phase budget from `2t + 3` to `t + 2` and dropping
-/// the identifier-rotation suffix (`3t < n`).
-///
-/// `ClassifyLiar` attacks the signed exchange natively (its vectors are
-/// signed with the corrupted keys); `Disruptor` maps to the signed
-/// schedule-aware coalition ([`SignedResilientDisruptor`]).
-#[derive(Clone, Copy, Debug, Default)]
-pub struct ResilientSignedDriver;
-
-impl ProtocolDriver for ResilientSignedDriver {
-    fn name(&self) -> &'static str {
-        "resilient-signed"
-    }
-
-    fn max_faults(&self, n: usize) -> usize {
-        n.saturating_sub(1) / 3
-    }
-
-    fn uses_predictions(&self) -> bool {
-        true
-    }
-
-    fn max_rounds(&self, _n: usize, t: usize) -> u64 {
-        ResilientSigned::rounds(t) + 2
-    }
-
-    fn build(&self, spec: &SessionSpec<'_>) -> Box<dyn ErasedSession> {
-        let pki = Arc::new(Pki::new(spec.n, spec.seed ^ 0x91c1));
-        let mut honest: BTreeMap<ProcessId, ResilientSigned> = BTreeMap::new();
-        for (slot, id) in spec.honest_slots() {
-            honest.insert(
-                id,
-                ResilientSigned::new(
-                    id,
-                    spec.n,
-                    spec.t,
-                    spec.input_for(slot),
-                    spec.matrix.row(id).clone(),
-                    Arc::clone(&pki),
-                    pki.signing_key(id.0),
-                ),
-            );
-        }
-        let adversary: Box<dyn Adversary<ba_resilient::ResilientSignedMsg>> = match spec.adversary {
-            AdversaryKind::Silent => Box::new(SilentAdversary),
-            AdversaryKind::ClassifyLiar(style) => Box::new(
-                ClassifyLiar::new(spec.n, spec.faulty_vec(), style, spec.seed)
-                    .resilient_signed(corrupted_keys(&pki, spec.faulty)),
-            ),
-            AdversaryKind::Replay => Box::new(ReplayAdversary::new(1)),
-            AdversaryKind::Disruptor => Box::new(SignedResilientDisruptor::new(
-                spec.n,
-                spec.t,
-                corrupted_keys(&pki, spec.faulty),
-                Arc::clone(&pki),
-            )),
-        };
-        erase(spec.n, honest, adversary, |p: &ResilientSigned| {
-            p.classification().map(bits_of)
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiment::Pipeline;
     use crate::generators;
 
     fn spec_parts(n: usize, f: usize) -> (BTreeSet<ProcessId>, PredictionMatrix) {
@@ -649,19 +494,9 @@ mod tests {
 
     #[test]
     fn every_driver_reaches_unanimous_agreement() {
-        let drivers: [&dyn ProtocolDriver; 8] = [
-            &UnauthWrapperDriver,
-            &AuthWrapperDriver,
-            &PhaseKingDriver,
-            &TruncatedDolevStrongDriver,
-            &CommEffDriver,
-            &ResilientDriver,
-            &CommEffSignedDriver,
-            &ResilientSignedDriver,
-        ];
         let n = 10;
         let (faulty, matrix) = spec_parts(n, 2);
-        for d in drivers {
+        for d in &FAMILIES {
             let t = d.max_faults(n).min(3);
             let s = spec(n, t, &faulty, &matrix);
             let mut session = d.build(&s);
@@ -678,15 +513,20 @@ mod tests {
 
     #[test]
     fn resilience_bounds_match_protocol_families() {
-        assert_eq!(UnauthWrapperDriver.max_faults(10), 3);
-        assert_eq!(PhaseKingDriver.max_faults(10), 3);
-        assert_eq!(CommEffDriver.max_faults(10), 3);
-        assert_eq!(ResilientDriver.max_faults(10), 3);
-        assert_eq!(CommEffSignedDriver.max_faults(10), 3);
-        assert_eq!(ResilientSignedDriver.max_faults(10), 3);
-        assert_eq!(AuthWrapperDriver.max_faults(10), 4);
-        assert_eq!(TruncatedDolevStrongDriver.max_faults(10), 4);
-        assert_eq!(UnauthWrapperDriver.max_faults(0), 0);
+        let bound = |p: Pipeline| p.driver().max_faults(10);
+        for p in [
+            Pipeline::Unauth,
+            Pipeline::PhaseKing,
+            Pipeline::CommEff,
+            Pipeline::Resilient,
+            Pipeline::CommEffSigned,
+            Pipeline::ResilientSigned,
+        ] {
+            assert_eq!(bound(p), 3, "{p:?}");
+        }
+        assert_eq!(bound(Pipeline::Auth), 4);
+        assert_eq!(bound(Pipeline::TruncatedDolevStrong), 4);
+        assert_eq!(Pipeline::Unauth.driver().max_faults(0), 0);
     }
 
     #[test]
@@ -695,14 +535,16 @@ mod tests {
         let (faulty, matrix) = spec_parts(n, 2);
         let s = spec(n, 3, &faulty, &matrix);
 
-        let mut wrapper = UnauthWrapperDriver.build(&s);
-        let _ = wrapper.run(UnauthWrapperDriver.max_rounds(n, 3));
+        let unauth = Pipeline::Unauth.driver();
+        let mut wrapper = unauth.build(&s);
+        let _ = wrapper.run(unauth.max_rounds(n, 3));
         let probes = wrapper.probes();
         assert_eq!(probes.len(), n - 2, "every honest wrapper classifies");
         assert_eq!(k_a_from_probes(n, &faulty, &probes), 0, "perfect matrix");
 
-        let mut baseline = PhaseKingDriver.build(&s);
-        let _ = baseline.run(PhaseKingDriver.max_rounds(n, 3));
+        let king = Pipeline::PhaseKing.driver();
+        let mut baseline = king.build(&s);
+        let _ = baseline.run(king.max_rounds(n, 3));
         assert!(
             baseline.probes().is_empty(),
             "baselines have no classification"

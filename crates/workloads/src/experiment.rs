@@ -9,16 +9,12 @@
 //! deterministic given the config.
 //!
 //! Execution is pipeline-agnostic: the config picks a [`Pipeline`], the
-//! pipeline names a [`ProtocolDriver`], and one generic
-//! [`ExperimentConfig::run_with`] path builds, runs, and measures the
-//! type-erased session — the same engine for the paper's wrappers, the
-//! prediction-free baselines, and any future driver.
+//! pipeline's [`Family`] row builds the type-erased session, and
+//! [`ExperimentConfig::run`] runs and measures it — the same engine for
+//! the paper's wrappers, the prediction-free baselines, and the
+//! follow-up families.
 
-use crate::driver::{
-    k_a_from_probes, AuthWrapperDriver, CommEffDriver, CommEffSignedDriver, PhaseKingDriver,
-    ProtocolDriver, ResilientDriver, ResilientSignedDriver, SessionSpec,
-    TruncatedDolevStrongDriver, UnauthWrapperDriver,
-};
+use crate::driver::{k_a_from_probes, Family, SessionSpec, FAMILIES};
 use crate::generators::{self, ErrorPlacement, FaultIds};
 use crate::json::{JsonObject, ToJson};
 use ba_sim::{RunReport, Value};
@@ -40,9 +36,9 @@ pub use crate::adversaries::LiarStyle;
 /// Marked `#[non_exhaustive]`: this is the extension seam (sharded and
 /// batched execution modes are the open directions), so downstream
 /// matches must carry a wildcard arm and new variants are not breaking
-/// changes. Prefer branching on driver capabilities
-/// ([`ProtocolDriver::uses_predictions`], [`ProtocolDriver::max_faults`])
-/// over matching variants.
+/// changes. Prefer branching on family capabilities
+/// ([`Family::uses_predictions`], [`Family::max_faults`]) over matching
+/// variants.
 #[non_exhaustive]
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Pipeline {
@@ -112,65 +108,14 @@ impl Pipeline {
         }
     }
 
-    /// The driver executing this pipeline.
-    pub fn driver(self) -> &'static dyn ProtocolDriver {
-        match self {
-            Pipeline::Unauth => &UnauthWrapperDriver,
-            Pipeline::Auth => &AuthWrapperDriver,
-            Pipeline::PhaseKing => &PhaseKingDriver,
-            Pipeline::TruncatedDolevStrong => &TruncatedDolevStrongDriver,
-            Pipeline::CommEff => &CommEffDriver,
-            Pipeline::Resilient => &ResilientDriver,
-            Pipeline::CommEffSigned => &CommEffSignedDriver,
-            Pipeline::ResilientSigned => &ResilientSignedDriver,
-        }
+    /// This pipeline's family row: name, bounds, shapes and builder.
+    pub fn driver(self) -> &'static Family {
+        &FAMILIES[self.ordinal()]
     }
 
-    /// Stable display name (delegates to the driver).
+    /// Stable display name.
     pub fn name(self) -> &'static str {
         self.driver().name()
-    }
-
-    /// The family's resilience bound, as printed in the driver
-    /// comparison table ([`crate::tables::driver_table`]).
-    pub const fn resilience_shape(self) -> &'static str {
-        match self {
-            Pipeline::Unauth
-            | Pipeline::PhaseKing
-            | Pipeline::CommEff
-            | Pipeline::Resilient
-            | Pipeline::CommEffSigned
-            | Pipeline::ResilientSigned => "3t < n",
-            Pipeline::Auth | Pipeline::TruncatedDolevStrong => "2t < n",
-        }
-    }
-
-    /// The family's round-complexity shape, as printed in the driver
-    /// comparison table ([`crate::tables::driver_table`]).
-    pub const fn round_shape(self) -> &'static str {
-        match self {
-            Pipeline::Unauth | Pipeline::Auth => "O(min{B/n + 1, f})",
-            Pipeline::PhaseKing => "O(f)",
-            Pipeline::TruncatedDolevStrong => "t + 1",
-            Pipeline::CommEff => "5 fast / O(t) fallback",
-            Pipeline::Resilient => "O(promoted(B) + 1), ≤ 2t + 3 phases",
-            Pipeline::CommEffSigned => "6 fast / O(t) fallback, uniform lane",
-            Pipeline::ResilientSigned => "O(promoted(B) + 1), ≤ t + 2 phases",
-        }
-    }
-
-    /// The family's communication shape, as printed in the driver
-    /// comparison table ([`crate::tables::driver_table`]).
-    pub const fn comm_shape(self) -> &'static str {
-        match self {
-            Pipeline::Unauth | Pipeline::PhaseKing => "O(f·n²)",
-            Pipeline::Auth => "O(n²) chain batches",
-            Pipeline::TruncatedDolevStrong => "Ω(n²) chain batches",
-            Pipeline::CommEff => "Θ(n·f̂) fast lane",
-            Pipeline::Resilient => "O((promoted(B) + 1)·n²)",
-            Pipeline::CommEffSigned => "O(n³) certificate echo",
-            Pipeline::ResilientSigned => "O(n³) signed exchange",
-        }
     }
 }
 
@@ -316,21 +261,15 @@ impl ExperimentConfig {
         self
     }
 
-    /// Executes the experiment through the configured pipeline's driver.
+    /// Executes the experiment through the configured pipeline's family.
     pub fn run(&self) -> ExperimentOutcome {
-        self.run_with(self.pipeline.driver())
-    }
-
-    /// Executes the experiment through an explicit driver — the single
-    /// generic setup/measure path shared by every protocol family
-    /// (including drivers outside this crate).
-    pub fn run_with<D: ProtocolDriver + ?Sized>(&self, driver: &D) -> ExperimentOutcome {
+        let family = self.pipeline.driver();
         assert!(self.f <= self.t, "f ≤ t");
         assert!(
-            self.t <= driver.max_faults(self.n),
+            self.t <= family.max_faults(self.n),
             "{} tolerates at most t = {} at n = {} (got t = {})",
-            driver.name(),
-            driver.max_faults(self.n),
+            family.name(),
+            family.max_faults(self.n),
             self.n,
             self.t
         );
@@ -352,9 +291,9 @@ impl ExperimentConfig {
             adversary: self.adversary,
             seed: self.seed,
         };
-        let mut session = driver.build(&spec);
-        let report = session.run(driver.max_rounds(self.n, self.t));
-        let k_a = if driver.uses_predictions() {
+        let mut session = family.build(&spec);
+        let report = session.run(family.max_rounds(self.n, self.t));
+        let k_a = if family.uses_predictions() {
             k_a_from_probes(self.n, &faulty, &session.probes())
         } else {
             0
@@ -574,13 +513,33 @@ mod tests {
         // The display string and the executable bound must agree, so
         // the driver table cannot rot against the code.
         for pipeline in Pipeline::ALL {
-            let expected = match pipeline.driver().max_faults(13) {
+            let family = pipeline.driver();
+            let expected = match family.max_faults(13) {
                 4 => "3t < n",
                 6 => "2t < n",
                 other => panic!("{pipeline:?}: unclassified bound t = {other} at n = 13"),
             };
-            assert_eq!(pipeline.resilience_shape(), expected, "{pipeline:?}");
+            assert_eq!(family.resilience().shape(), expected, "{pipeline:?}");
         }
+    }
+
+    #[test]
+    fn family_rows_follow_pipeline_order() {
+        // `driver()` indexes the table by ordinal, so a misplaced row
+        // would silently run the wrong family under a variant's name.
+        assert_eq!(
+            Pipeline::ALL.map(Pipeline::name),
+            [
+                "unauth-wrapper",
+                "auth-wrapper",
+                "phase-king",
+                "truncated-dolev-strong",
+                "comm-eff",
+                "resilient",
+                "comm-eff-signed",
+                "resilient-signed",
+            ]
+        );
     }
 
     #[test]

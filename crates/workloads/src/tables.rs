@@ -2,8 +2,8 @@
 //! driver comparison table.
 //!
 //! Every experiment harness (E1–E9) prints its results as a GitHub-style
-//! markdown table so the output can be pasted directly into
-//! `EXPERIMENTS.md`. [`driver_table`] renders the one-row-per-pipeline
+//! markdown table so the output can be pasted into a report or an issue
+//! as is. [`driver_table`] renders the one-row-per-pipeline
 //! family overview (resilience, prediction use, round/communication
 //! shapes); because it iterates [`Pipeline::ALL`], a new protocol
 //! family appears in it the moment its variant lands — the table cannot
@@ -89,17 +89,17 @@ pub fn driver_table() -> Table {
         ],
     );
     for pipeline in Pipeline::ALL {
-        let driver = pipeline.driver();
+        let family = pipeline.driver();
         t.row([
-            driver.name(),
-            pipeline.resilience_shape(),
-            if driver.uses_predictions() {
+            family.name(),
+            family.resilience().shape(),
+            if family.uses_predictions() {
                 "yes"
             } else {
                 "ignored"
             },
-            pipeline.round_shape(),
-            pipeline.comm_shape(),
+            family.round_shape(),
+            family.comm_shape(),
         ]);
     }
     t

@@ -13,8 +13,11 @@
 //! else's — and `Pipeline::Resilient` (Dallot et al.) trades that
 //! economy for *graceful* rounds: its cost climbs one phase per faulty
 //! identifier the error budget corrupts instead of cliff-switching into
-//! a fallback. All six run through the same `ProtocolDriver` path on
-//! identical fault workloads.
+//! a fallback. Their signed variants (`Pipeline::CommEffSigned`,
+//! `Pipeline::ResilientSigned`) pay signature bytes to remove each
+//! family's equivocation conditionality. All eight families run through
+//! the same `ExperimentConfig::run` path — one `Family` row per
+//! `Pipeline` — on identical fault workloads.
 //!
 //! ```sh
 //! cargo run --release --example pipelines_compared
@@ -53,7 +56,10 @@ fn main() {
     // Common ground: t below n/3 so every pipeline runs.
     let t_common = 7;
     let mut table = Table::new(
-        &format!("same workload, t = {t_common} (all six pipelines legal)"),
+        &format!(
+            "same workload, t = {t_common} (all {} pipelines legal)",
+            Pipeline::ALL.len()
+        ),
         &[
             "pipeline",
             "B",

@@ -28,14 +28,15 @@
 //! | [`ba_early`] | early-stopping substrates (S4, S5) and prediction-free baselines |
 //! | [`ba_commeff`] | communication-efficient BA with predictions (Dzulfikar–Gilbert follow-up), unsigned + signed-certify variants |
 //! | [`ba_resilient`] | gracefully-degrading BA with predictions (Dallot et al. follow-up), unsigned + signed-classification variants |
-//! | [`ba_core`] | predictions, Algorithm 2, `π(c)` orderings, the Algorithm 1 wrapper |
-//! | [`ba_workloads`] | generators, adversary gallery, `ProtocolDriver` experiment harness, parallel sweeps, lower bounds |
+//! | [`ba_core`] | predictions, Algorithm 2, `π(c)` orderings, the Algorithm 1 wrapper over either sub-protocol set |
+//! | [`ba_workloads`] | generators, adversary gallery, the protocol-family table and experiment harness, parallel sweeps, lower bounds |
 //!
 //! ## Execution API
 //!
 //! Every protocol family runs through one seam: a
 //! [`Pipeline`](ba_workloads::Pipeline) names a
-//! [`ProtocolDriver`](ba_workloads::ProtocolDriver), and
+//! [`Family`](ba_workloads::Family) row (name, resilience, prediction
+//! use, round budget, shapes, `build` fn), and
 //! [`ExperimentConfig::run`](ba_workloads::ExperimentConfig::run)
 //! builds, executes, and measures the type-erased session identically
 //! for all of them: rounds, honest messages, and honest bytes
@@ -77,9 +78,9 @@
 //! `with_*` combinators); multi-config comparisons run in parallel via
 //! [`SweepGrid`](ba_workloads::SweepGrid) /
 //! [`sweep_grid`](ba_workloads::sweep_grid) with deterministic output,
-//! serializable to JSON ([`ToJson`](ba_workloads::ToJson)). New
-//! protocol variants (sharded or batched execution modes) plug in by
-//! implementing `ProtocolDriver`.
+//! serializable to JSON ([`ToJson`](ba_workloads::ToJson)). A new
+//! protocol family plugs in as a `Pipeline` variant plus one `Family`
+//! row.
 //!
 //! ## Quickstart
 //!
@@ -125,8 +126,7 @@ pub mod prelude {
     pub use ba_workloads::{
         driver_table, faults, grid_to_json, message_lower_bound, predictions_with_budget,
         round_lower_bound, sweep_grid, sweep_seeds, AdversaryKind, ErrorPlacement,
-        ExperimentBuilder, ExperimentConfig, ExperimentOutcome, FaultPlacement, GridPoint,
-        InputPattern, LiarStyle, Pipeline, ProtocolDriver, SessionSpec, SweepGrid, SweepSummary,
-        Table, ToJson,
+        ExperimentBuilder, ExperimentConfig, ExperimentOutcome, Family, FaultPlacement, GridPoint,
+        InputPattern, LiarStyle, Pipeline, SessionSpec, SweepGrid, SweepSummary, Table, ToJson,
     };
 }

@@ -1,4 +1,5 @@
-//! Conformance suite for the `ProtocolDriver` execution API: every
+//! Conformance suite for the `Pipeline` execution API (one `Family`
+//! row per pipeline, run by `ExperimentConfig::run`): every
 //! `Pipeline` variant must reach agreement — and unanimity-validity —
 //! under both the weakest (`Silent`) and strongest (`Disruptor`)
 //! execution-scale adversaries, across multiple seeds; the parallel
