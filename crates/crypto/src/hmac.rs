@@ -4,9 +4,85 @@ use crate::sha256::{sha256, Sha256};
 
 const BLOCK: usize = 64;
 
+/// HMAC-SHA256 under one fixed key, with the key's ipad and opad blocks
+/// absorbed into two SHA-256 states once.
+///
+/// Every [`HmacKey::mac`] call then resumes from those states, so a
+/// message shorter than 56 bytes costs two SHA-256 compressions instead
+/// of four. The states are as secret as the key itself, so the `Debug`
+/// output shows neither.
+///
+/// # Examples
+///
+/// ```
+/// use ba_crypto::hmac::{hmac_sha256, HmacKey};
+///
+/// let key = HmacKey::new(b"key");
+/// assert_eq!(key.mac(b"message"), hmac_sha256(b"key", b"message"));
+/// ```
+#[derive(Clone)]
+pub struct HmacKey {
+    /// SHA-256 state after absorbing `key ⊕ ipad`.
+    inner: Sha256,
+    /// SHA-256 state after absorbing `key ⊕ opad`.
+    outer: Sha256,
+}
+
+impl std::fmt::Debug for HmacKey {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        // Never print the states: they stand in for the key.
+        f.write_str("HmacKey(..)")
+    }
+}
+
+impl HmacKey {
+    /// Precomputes the keyed states for `key`.
+    ///
+    /// Keys longer than the 64-byte block are hashed first, per RFC 2104.
+    pub fn new(key: &[u8]) -> Self {
+        let mut k = [0u8; BLOCK];
+        if key.len() > BLOCK {
+            k[..32].copy_from_slice(&sha256(key));
+        } else {
+            k[..key.len()].copy_from_slice(key);
+        }
+        let keyed = |pad: u8| {
+            let mut block = [pad; BLOCK];
+            for (b, k) in block.iter_mut().zip(k) {
+                *b ^= k;
+            }
+            let mut state = Sha256::new();
+            state.update(&block);
+            state
+        };
+        HmacKey {
+            inner: keyed(0x36),
+            outer: keyed(0x5c),
+        }
+    }
+
+    /// Computes `HMAC-SHA256(key, message)`.
+    pub fn mac(&self, message: &[u8]) -> [u8; 32] {
+        let mut inner = self.inner.clone();
+        inner.update(message);
+        let mut outer = self.outer.clone();
+        outer.update(&inner.finalize());
+        outer.finalize()
+    }
+
+    /// The sixteen words of the two keyed states, for tests that check no
+    /// `Debug` output leaks them.
+    #[cfg(test)]
+    pub(crate) fn state_words(&self) -> impl Iterator<Item = u32> {
+        let (inner, outer) = (self.inner.state_words(), self.outer.state_words());
+        inner.into_iter().chain(outer)
+    }
+}
+
 /// Computes `HMAC-SHA256(key, message)`.
 ///
 /// Keys longer than the 64-byte block are hashed first, per RFC 2104.
+/// To MAC many messages under one key, build an [`HmacKey`] once.
 ///
 /// # Examples
 ///
@@ -15,30 +91,7 @@ const BLOCK: usize = 64;
 /// assert_eq!(tag.len(), 32);
 /// ```
 pub fn hmac_sha256(key: &[u8], message: &[u8]) -> [u8; 32] {
-    let mut k = [0u8; BLOCK];
-    if key.len() > BLOCK {
-        let digest = sha256(key);
-        k[..32].copy_from_slice(&digest);
-    } else {
-        k[..key.len()].copy_from_slice(key);
-    }
-
-    let mut ipad = [0x36u8; BLOCK];
-    let mut opad = [0x5cu8; BLOCK];
-    for i in 0..BLOCK {
-        ipad[i] ^= k[i];
-        opad[i] ^= k[i];
-    }
-
-    let mut inner = Sha256::new();
-    inner.update(&ipad);
-    inner.update(message);
-    let inner_digest = inner.finalize();
-
-    let mut outer = Sha256::new();
-    outer.update(&opad);
-    outer.update(&inner_digest);
-    outer.finalize()
+    HmacKey::new(key).mac(message)
 }
 
 /// Constant-time equality of two MAC tags.

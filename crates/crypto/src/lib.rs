@@ -10,7 +10,9 @@
 //!
 //! * [`mod@sha256`] — SHA-256 implemented from scratch and validated
 //!   against the NIST FIPS 180-4 test vectors;
-//! * [`hmac`] — HMAC-SHA256 (RFC 2104), validated against RFC 4231;
+//! * [`hmac`] — HMAC-SHA256 (RFC 2104), validated against RFC 4231; an
+//!   [`hmac::HmacKey`] absorbs a key's padded blocks once, so every MAC
+//!   under it skips two SHA-256 compressions;
 //! * [`sign`] — a *simulated PKI*: a [`sign::Pki`] oracle privately
 //!   holds one MAC key per process; a process signs with its own
 //!   [`sign::SigningKey`] and anyone verifies through the
@@ -22,6 +24,22 @@
 //! * [`signed`] — the reusable [`signed::Signed`] envelope (canonical
 //!   encoding + signature + verify-on-receive), the building block of
 //!   the signed protocol variants (`CommEffSigned`, `ResilientSigned`).
+//!
+//! ## Verify-once memo
+//!
+//! Certificates and message chains make every receiver re-check the same
+//! signatures, so a [`Pki`] computes each HMAC once and remembers the
+//! result. Verification is a pure function, and the memo keeps it one:
+//!
+//! * only valid results are cached: a forged, moved or re-attributed tag
+//!   is recomputed and rejected every time;
+//! * a hit needs the exact message bytes the signature was found valid
+//!   for;
+//! * the memo lasts as long as one `Pki`, and the experiment harness
+//!   builds one per session.
+//!
+//! [`Pki::verify_counts`] reports the logical checks and the HMACs they
+//! actually cost.
 //!
 //! Everything the protocols need from signatures — authentication,
 //! transferability along message chains, and equivocation evidence — is

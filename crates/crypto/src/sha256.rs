@@ -117,6 +117,13 @@ impl Sha256 {
         out
     }
 
+    /// The eight chaining words, for tests that check no `Debug` output
+    /// leaks a keyed state.
+    #[cfg(test)]
+    pub(crate) fn state_words(&self) -> [u32; 8] {
+        self.state
+    }
+
     fn update_padding(&mut self) {
         // Appends 0x80 then zeros until 56 bytes remain in the final block.
         let mut pad = [0u8; 72];

@@ -10,7 +10,9 @@
 //! unforgeable — exactly the assumption of §8.1 of the paper.
 
 use crate::encode::Encoder;
-use crate::hmac::{hmac_sha256, tags_equal};
+use crate::hmac::{tags_equal, HmacKey};
+use std::collections::HashMap;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 /// Identifier type mirrored from `ba-sim` (kept as a raw `u32` here so the
 /// crypto substrate has no simulator dependency; protocol crates convert
@@ -35,6 +37,20 @@ impl std::fmt::Debug for Signature {
             "sig(p{}, {:02x}{:02x}…)",
             self.signer, self.tag[0], self.tag[1]
         )
+    }
+}
+
+impl Signature {
+    /// Assembles a signature from a claimed signer and raw tag bytes
+    /// without signing: the adversary and test surface for forgery
+    /// attempts. It verifies only if `tag` really is the signer's tag.
+    pub fn from_parts(signer: SignerId, tag: [u8; 16]) -> Self {
+        Signature { signer, tag }
+    }
+
+    /// The raw tag bytes.
+    pub fn tag(&self) -> [u8; 16] {
+        self.tag
     }
 }
 
@@ -65,7 +81,7 @@ impl crate::encode::Encodable for Signature {
 #[derive(Clone)]
 pub struct SigningKey {
     id: SignerId,
-    secret: [u8; 32],
+    key: HmacKey,
 }
 
 impl std::fmt::Debug for SigningKey {
@@ -83,7 +99,7 @@ impl SigningKey {
 
     /// Signs canonical message bytes.
     pub fn sign(&self, message: &[u8]) -> Signature {
-        let full = hmac_sha256(&self.secret, message);
+        let full = self.key.mac(message);
         let mut tag = [0u8; 16];
         tag.copy_from_slice(&full[..16]);
         Signature {
@@ -95,16 +111,52 @@ impl SigningKey {
 
 /// The verification oracle, holding every per-process secret.
 ///
-/// Constructed once per execution from a seed; shared read-only
-/// (`Arc<Pki>`) by all processes. Secrets are private fields: protocol and
-/// adversary code can only `verify`.
+/// Constructed once per execution from a seed; shared (`Arc<Pki>`) by all
+/// processes. Secrets are private fields: protocol and adversary code can
+/// only `verify`.
+///
+/// # Verify-once memo
+///
+/// A `Pki` remembers every signature it has found valid, together with
+/// the exact message bytes it was valid for:
+///
+/// * only successful verifications are stored, so a forged tag, a tag
+///   moved to another message or a tag attributed to another signer is
+///   recomputed and rejected on every call;
+/// * [`Pki::verify`] answers from the memo only when the stored message
+///   is byte-for-byte equal to the one being checked;
+/// * the memo lives as long as the `Pki`, which the experiment harness
+///   builds once per session.
+///
+/// The answer of every call is therefore the one a fresh `Pki` would
+/// give; [`Pki::verify_counts`] shows how much HMAC work the memo saved.
 pub struct Pki {
-    secrets: Vec<[u8; 32]>,
+    keys: Vec<HmacKey>,
+    memo: Mutex<Memo>,
 }
+
+/// Successful verifications of one [`Pki`], and its verify counts.
+///
+/// The map keeps std's SipHash hasher because the adversary chooses tags.
+#[derive(Default)]
+struct Memo {
+    /// The message each valid `(signer, tag)` was verified over.
+    valid: HashMap<(SignerId, [u8; 16]), Box<[u8]>>,
+    /// Calls to [`Pki::verify`].
+    logical: u64,
+    /// HMACs those calls computed.
+    physical: u64,
+}
+
+// Sessions move to worker threads inside an `Arc<Pki>`.
+const _: () = {
+    const fn assert_send_sync<T: Send + Sync>() {}
+    assert_send_sync::<Pki>();
+};
 
 impl std::fmt::Debug for Pki {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "Pki({} identities)", self.secrets.len())
+        write!(f, "Pki({} identities)", self.keys.len())
     }
 }
 
@@ -116,26 +168,29 @@ impl Pki {
     pub fn new(n: usize, seed: u64) -> Self {
         let mut root = Encoder::new("pki-root");
         root.u64(seed);
-        let root = root.finish();
-        let secrets = (0..n as u32)
+        let root = HmacKey::new(&root.finish());
+        let keys = (0..n as u32)
             .map(|id| {
                 let mut e = Encoder::new("pki-key");
                 e.u32(id);
-                hmac_sha256(&root, &e.finish())
+                HmacKey::new(&root.mac(&e.finish()))
             })
             .collect();
-        Pki { secrets }
+        Pki {
+            keys,
+            memo: Mutex::default(),
+        }
     }
 
     /// Number of identities.
     pub fn len(&self) -> usize {
-        self.secrets.len()
+        self.keys.len()
     }
 
     /// Whether the PKI is empty (never true for real systems; provided for
     /// API completeness).
     pub fn is_empty(&self) -> bool {
-        self.secrets.is_empty()
+        self.keys.is_empty()
     }
 
     /// Issues the signing key of `id`.
@@ -149,18 +204,46 @@ impl Pki {
     pub fn signing_key(&self, id: SignerId) -> SigningKey {
         SigningKey {
             id,
-            secret: self.secrets[id as usize],
+            key: self.keys[id as usize].clone(),
         }
     }
 
     /// Verifies that `sig` is a valid signature by `sig.signer` over
     /// `message`.
+    ///
+    /// A signature this `Pki` already found valid over exactly these
+    /// bytes is accepted without recomputing its HMAC; every other call
+    /// computes it (see the [verify-once memo](Pki#verify-once-memo)).
     pub fn verify(&self, message: &[u8], sig: &Signature) -> bool {
-        let Some(secret) = self.secrets.get(sig.signer as usize) else {
+        let mut memo = self.memo();
+        memo.logical += 1;
+        let memo_key = (sig.signer, sig.tag);
+        if memo.valid.get(&memo_key).is_some_and(|m| **m == *message) {
+            return true;
+        }
+        let Some(key) = self.keys.get(sig.signer as usize) else {
             return false;
         };
-        let full = hmac_sha256(secret, message);
-        tags_equal(&full[..16], &sig.tag)
+        memo.physical += 1;
+        let valid = tags_equal(&key.mac(message)[..16], &sig.tag);
+        if valid {
+            memo.valid.insert(memo_key, message.into());
+        }
+        valid
+    }
+
+    /// `(logical, physical)`: the number of [`Pki::verify`] calls so far,
+    /// and the number of HMACs they computed. The difference is the work
+    /// the verify-once memo saved.
+    pub fn verify_counts(&self) -> (u64, u64) {
+        let memo = self.memo();
+        (memo.logical, memo.physical)
+    }
+
+    fn memo(&self) -> MutexGuard<'_, Memo> {
+        // The memo only ever holds verified entries, so it stays
+        // consistent even if a holder panicked.
+        self.memo.lock().unwrap_or_else(PoisonError::into_inner)
     }
 }
 
@@ -236,10 +319,31 @@ mod tests {
     fn debug_output_never_leaks_secrets() {
         let pki = Pki::new(2, 3);
         let key = pki.signing_key(0);
-        let shown = format!("{key:?}{pki:?}");
-        // The secret is 32 raw bytes; its hex should never appear.
-        assert!(shown.contains("SigningKey(p0)"));
-        assert!(shown.contains("Pki(2 identities)"));
-        assert!(!shown.contains("secret"));
+        assert!(pki.verify(b"m", &key.sign(b"m")), "fill the memo too");
+        let shown = format!("{key:?}{pki:?}{:?}", pki.keys[1]);
+        assert_eq!(shown, "SigningKey(p0)Pki(2 identities)HmacKey(..)");
+        // The keyed SHA-256 states stand in for the secrets: no word of
+        // them may appear, in decimal or hex.
+        for word in pki.keys.iter().flat_map(HmacKey::state_words) {
+            assert!(!shown.contains(&word.to_string()));
+            assert!(!shown.contains(&format!("{word:x}")));
+        }
+    }
+
+    #[test]
+    fn memo_skips_repeat_hmacs_but_never_failures() {
+        let pki = Pki::new(4, 5);
+        let sig = pki.signing_key(1).sign(b"m");
+        let forged = Signature { signer: 2, ..sig };
+        for _ in 0..3 {
+            assert!(pki.verify(b"m", &sig));
+            assert!(!pki.verify(b"other", &sig));
+            assert!(!pki.verify(b"m", &forged));
+        }
+        // One HMAC for the valid signature, one per failed call.
+        assert_eq!(pki.verify_counts(), (9, 7));
+        let unknown = Signature { signer: 9, ..sig };
+        assert!(!pki.verify(b"m", &unknown));
+        assert_eq!(pki.verify_counts(), (10, 7), "no key, no HMAC");
     }
 }

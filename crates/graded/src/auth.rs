@@ -315,6 +315,25 @@ mod tests {
     }
 
     #[test]
+    fn each_distinct_signature_is_hmaced_once() {
+        // n = 7, t = 3 with three silent processes: the h = 4 honest ones
+        // make quorum q = 4 only with every honest echo and confirm, so
+        // each honest instance's 1 sender signature, h echo signatures and
+        // h confirm signatures are all verified, and all are valid.
+        let (n, t, h) = (7, 3, 4u64);
+        let pki = Arc::new(Pki::new(n, 13));
+        let mut runner = Runner::new(n, system(n, t, 1, &[9; 4], &pki), SilentAdversary);
+        let report = runner.run(8);
+        assert!(report.all_decided());
+        let (logical, physical) = pki.verify_counts();
+        assert_eq!(physical, h * (1 + 2 * h), "one HMAC per distinct signature");
+        assert!(
+            physical < logical,
+            "certificates re-check memoized signatures"
+        );
+    }
+
+    #[test]
     fn mixed_inputs_stay_safe() {
         let pki = Arc::new(Pki::new(4, 3));
         let mut runner = Runner::new(4, system(4, 1, 1, &[1, 1, 2, 2], &pki), SilentAdversary);

@@ -134,12 +134,13 @@ impl EchoCert {
         ) {
             return false;
         }
+        let msg = echo_bytes(cfg.session, cfg.inst, self.value);
         let mut signers = BTreeSet::new();
         for sig in &self.echo_sigs {
             if !signers.insert(sig.signer) {
                 return false; // duplicate signer
             }
-            if !pki.verify(&echo_bytes(cfg.session, cfg.inst, self.value), sig) {
+            if !pki.verify(&msg, sig) {
                 return false;
             }
         }
@@ -165,12 +166,13 @@ impl WireSize for CommitCert {
 impl CommitCert {
     /// Verifies structure and signatures against `cfg`.
     pub fn verify(&self, cfg: &GcastConfig, pki: &Pki) -> bool {
+        let msg = confirm_bytes(cfg.session, cfg.inst, self.value);
         let mut signers = BTreeSet::new();
         for sig in &self.confirm_sigs {
             if !signers.insert(sig.signer) {
                 return false;
             }
-            if !pki.verify(&confirm_bytes(cfg.session, cfg.inst, self.value), sig) {
+            if !pki.verify(&msg, sig) {
                 return false;
             }
         }
