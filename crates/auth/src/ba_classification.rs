@@ -27,9 +27,7 @@
 use crate::bb_committee::{BbBatch, CommitteeMode, ParallelBroadcast};
 use crate::chains::{committee_bytes, CommitteeCert};
 use ba_crypto::{Pki, Signature, SigningKey};
-use ba_sim::{
-    forward_sub, sub_inbox, Envelope, Outbox, Process, ProcessId, Tally, Value, WireSize,
-};
+use ba_sim::{step_sub, Envelope, Outbox, Process, ProcessId, Tally, Value, WireSize};
 use std::sync::Arc;
 
 /// Messages of Algorithm 7.
@@ -145,17 +143,14 @@ impl AuthBaWithClassification {
         inbox: &[Envelope<Alg7Msg>],
         out: &mut Outbox<Alg7Msg>,
     ) {
-        let sub = sub_inbox(inbox, |m| match m {
-            Alg7Msg::Chains(batch) => Some(Arc::clone(batch)),
-            _ => None,
-        });
-        let mut sub_out = Outbox::new(self.me, self.n);
         let bb = self
             .broadcast
             .as_mut()
             .expect("parallel broadcast live during chain rounds");
-        bb.step(local, &sub, &mut sub_out);
-        forward_sub(sub_out, out, Alg7Msg::Chains);
+        step_sub(bb, local, inbox, out, Alg7Msg::Chains, |m| match m {
+            Alg7Msg::Chains(batch) => Some(Arc::clone(batch)),
+            _ => None,
+        });
     }
 }
 

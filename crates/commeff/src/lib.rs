@@ -45,7 +45,7 @@ pub use signed::{CommEffSigned, CommEffSignedMsg};
 use ba_core::BitVec;
 use ba_early::{PhaseKing, PhaseKingMsg};
 use ba_sim::{
-    distinct_values_by_sender, plurality_smallest, sub_inbox, Envelope, Outbox, Process, ProcessId,
+    distinct_values_by_sender, plurality_smallest, step_sub, Envelope, Outbox, Process, ProcessId,
     Tally, Value, WireSize,
 };
 use std::sync::Arc;
@@ -248,13 +248,17 @@ impl CommEff {
         let Some(inner) = self.fallback.as_mut() else {
             return;
         };
-        let sub = sub_inbox(inbox, |m| match m {
-            CommEffMsg::Fallback(x) => Some(Arc::clone(x)),
-            _ => None,
-        });
-        let mut sub_out = Outbox::new(out.sender(), out.system_size());
-        inner.step(round - FALLBACK_START, &sub, &mut sub_out);
-        ba_sim::forward_sub(sub_out, out, CommEffMsg::Fallback);
+        step_sub(
+            inner,
+            round - FALLBACK_START,
+            inbox,
+            out,
+            CommEffMsg::Fallback,
+            |m| match m {
+                CommEffMsg::Fallback(x) => Some(Arc::clone(x)),
+                _ => None,
+            },
+        );
         if let Some(o) = inner.output() {
             self.out = Some(o.decision.unwrap_or(o.value));
         }

@@ -68,9 +68,7 @@ use crate::FALLBACK_START as UNSIGNED_FALLBACK_START;
 use ba_core::BitVec;
 use ba_crypto::{Encodable, Encoder, Pki, Signed, SigningKey};
 use ba_early::{PhaseKing, PhaseKingMsg};
-use ba_sim::{
-    plurality_smallest, sub_inbox, Envelope, Outbox, Process, ProcessId, Value, WireSize,
-};
+use ba_sim::{plurality_smallest, step_sub, Envelope, Outbox, Process, ProcessId, Value, WireSize};
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
@@ -393,13 +391,17 @@ impl CommEffSigned {
         let Some(inner) = self.fallback.as_mut() else {
             return;
         };
-        let sub = sub_inbox(inbox, |m| match m {
-            CommEffSignedMsg::Fallback(x) => Some(Arc::clone(x)),
-            _ => None,
-        });
-        let mut sub_out = Outbox::new(out.sender(), out.system_size());
-        inner.step(round - FALLBACK_START, &sub, &mut sub_out);
-        ba_sim::forward_sub(sub_out, out, CommEffSignedMsg::Fallback);
+        step_sub(
+            inner,
+            round - FALLBACK_START,
+            inbox,
+            out,
+            CommEffSignedMsg::Fallback,
+            |m| match m {
+                CommEffSignedMsg::Fallback(x) => Some(Arc::clone(x)),
+                _ => None,
+            },
+        );
         if let Some(o) = inner.output() {
             self.out = Some(o.decision.unwrap_or(o.value));
         }

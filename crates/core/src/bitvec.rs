@@ -134,11 +134,6 @@ impl BitVec {
     pub fn iter(&self) -> impl Iterator<Item = bool> + '_ {
         (0..self.len).map(|i| self.get(i))
     }
-
-    /// Indices of set bits, ascending.
-    pub fn iter_ones(&self) -> impl Iterator<Item = usize> + '_ {
-        (0..self.len).filter(|&i| self.get(i))
-    }
 }
 
 #[cfg(test)]
@@ -177,8 +172,6 @@ mod tests {
         let v = BitVec::from_bools(&bits);
         let back: Vec<bool> = v.iter().collect();
         assert_eq!(back, bits);
-        let ones: Vec<usize> = v.iter_ones().collect();
-        assert_eq!(ones, vec![0, 2, 3]);
     }
 
     #[test]

@@ -53,7 +53,6 @@ pub mod classify;
 pub mod ordering;
 pub mod prediction;
 pub mod schedule;
-pub mod suspects;
 pub mod wrapper;
 
 pub use bitvec::BitVec;
@@ -61,7 +60,6 @@ pub use classify::{Classify, ClassifyMsg, MisclassificationReport};
 pub use ordering::{core_of_window, misclassified_by, pi_order, position_in, truth_vector};
 pub use prediction::PredictionMatrix;
 pub use schedule::{phase_budget, phase_count, Schedule, Slot, SlotKind};
-pub use suspects::{matrix_from_suspect_lists, SuspectList};
 pub use wrapper::{
     AuthWrapper, AuthWrapperMsg, SubProtocols, UnauthWrapper, UnauthWrapperMsg, WrapperMsg,
 };

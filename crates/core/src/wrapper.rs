@@ -48,7 +48,7 @@ use ba_auth::AuthBaWithClassification;
 use ba_crypto::{Pki, SigningKey};
 use ba_early::{EsUnauth, TruncatedDs};
 use ba_graded::{AuthGraded, Graded, UnauthGraded};
-use ba_sim::{forward_sub, sub_inbox, Envelope, Outbox, Process, ProcessId, Value, WireSize};
+use ba_sim::{step_sub, Envelope, Outbox, Process, ProcessId, Value, WireSize};
 use ba_unauth::UnauthBaWithClassification;
 use std::fmt::Debug;
 use std::sync::Arc;
@@ -146,7 +146,7 @@ impl SubProtocols for Unauth {
         UnauthBaWithClassification::new(at.me, at.n, k, at.value, order)
     }
 
-    fn class_value(out: ba_unauth::Alg5Output) -> Value {
+    fn class_value(out: ba_unauth::PhaseOutput) -> Value {
         out.value
     }
 }
@@ -337,7 +337,6 @@ pub struct Wrapper<C: SubProtocols> {
     value: Value,
     grade: u8,
     decision: Option<Value>,
-    decision_phase: Option<u16>,
     order: Option<Arc<Vec<ProcessId>>>,
     classification: Option<BitVec>,
     active: Active<C>,
@@ -418,7 +417,6 @@ impl<C: SubProtocols> Wrapper<C> {
             value: input,
             grade: 0,
             decision: None,
-            decision_phase: None,
             order: None,
             classification: None,
             active: Active::Classify(Classify::new(me, n, prediction)),
@@ -430,11 +428,6 @@ impl<C: SubProtocols> Wrapper<C> {
     /// run).
     pub fn classification(&self) -> Option<&BitVec> {
         self.classification.as_ref()
-    }
-
-    /// The phase in which this process decided, if it has.
-    pub fn decision_phase(&self) -> Option<u16> {
-        self.decision_phase
     }
 
     fn drive(
@@ -516,7 +509,7 @@ impl<C: SubProtocols> Wrapper<C> {
                     self.value = C::class_value(o);
                 }
             }
-            (SlotKind::GcC { phase }, Active::Gc(sub)) => {
+            (SlotKind::GcC { .. }, Active::Gc(sub)) => {
                 let g = sub.output().expect("graded consensus ready");
                 self.value = g.value;
                 if self.decision.is_some() {
@@ -525,7 +518,6 @@ impl<C: SubProtocols> Wrapper<C> {
                 }
                 if g.paper_grade() == 1 {
                     self.decision = Some(g.value); // lines 14–16
-                    self.decision_phase = Some(phase);
                 }
             }
             (kind, _) => unreachable!("slot {kind:?} finalized with mismatched sub-protocol"),
@@ -554,23 +546,6 @@ impl<C: SubProtocols> Wrapper<C> {
             }
         };
     }
-}
-
-/// Steps one sub-protocol at local round `local` on the part of the
-/// wrapper inbox `extract` selects, and forwards its sends through
-/// `wrap`.
-fn step_sub<P: Process, M>(
-    sub: &mut P,
-    local: u64,
-    inbox: &[Envelope<M>],
-    out: &mut Outbox<M>,
-    wrap: impl FnMut(Arc<P::Msg>) -> M,
-    extract: impl FnMut(&M) -> Option<Arc<P::Msg>>,
-) {
-    let s = sub_inbox(inbox, extract);
-    let mut so = Outbox::new(out.sender(), out.system_size());
-    sub.step(local, &s, &mut so);
-    forward_sub(so, out, wrap);
 }
 
 impl<C: SubProtocols> Process for Wrapper<C> {

@@ -13,9 +13,8 @@
 //! * **Authenticated**: [`TruncatedDs`](crate::TruncatedDs) with budget
 //!   `k` directly (it is self-conditional on `f ≤ k`).
 
-use crate::phase_king::{PhaseKing, PhaseKingMsg};
-use ba_sim::{forward_sub, sub_inbox, Envelope, Outbox, Process, ProcessId, Value, WireSize};
-use ba_unauth::{Alg5Msg, UnauthBaWithClassification};
+use ba_sim::{step_sub, Envelope, Outbox, Process, ProcessId, Value, WireSize};
+use ba_unauth::{Alg5Msg, PhaseKing, PhaseKingMsg, UnauthBaWithClassification};
 use std::sync::Arc;
 
 /// Messages of the unauthenticated early-stopping dispatcher.
@@ -99,22 +98,16 @@ impl Process for EsUnauth {
     fn step(&mut self, round: u64, inbox: &[Envelope<EsUnauthMsg>], out: &mut Outbox<EsUnauthMsg>) {
         match self {
             EsUnauth::Alg5(inner) => {
-                let sub = sub_inbox(inbox, |m| match m {
+                step_sub(inner, round, inbox, out, EsUnauthMsg::Alg5, |m| match m {
                     EsUnauthMsg::Alg5(x) => Some(Arc::clone(x)),
                     EsUnauthMsg::King(_) => None,
-                });
-                let mut sub_out = Outbox::new(out.sender(), out.system_size());
-                inner.step(round, &sub, &mut sub_out);
-                forward_sub(sub_out, out, EsUnauthMsg::Alg5);
+                })
             }
             EsUnauth::King(inner) => {
-                let sub = sub_inbox(inbox, |m| match m {
+                step_sub(inner, round, inbox, out, EsUnauthMsg::King, |m| match m {
                     EsUnauthMsg::King(x) => Some(Arc::clone(x)),
                     EsUnauthMsg::Alg5(_) => None,
-                });
-                let mut sub_out = Outbox::new(out.sender(), out.system_size());
-                inner.step(round, &sub, &mut sub_out);
-                forward_sub(sub_out, out, EsUnauthMsg::King);
+                })
             }
         }
     }

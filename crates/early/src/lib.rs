@@ -10,7 +10,11 @@
 //! reproduction):
 //!
 //! * [`PhaseKing`] — a 5-round-per-phase validator/king/validator
-//!   protocol, early-stopping in `f + 2` phases (`t < n/3`);
+//!   protocol, early-stopping in `f + 2` phases (`t < n/3`). It lives in
+//!   `ba-unauth`, where it shares Algorithm 5's phase loop
+//!   (`ba_unauth::Phases`); [`PhaseKing`], [`PhaseKingMsg`] and
+//!   [`PhaseKingOutput`] are re-exported here so their `ba_early` paths
+//!   keep working;
 //! * [`EsUnauth`] — the unauthenticated dispatcher: the paper's own
 //!   Algorithm 5 under a trivial all-honest classification when its size
 //!   condition allows, phase-king otherwise;
@@ -23,9 +27,8 @@
 //! phases) and [`TruncatedDs::full`] (authenticated, `t + 1` rounds).
 
 pub mod dispatch;
-pub mod phase_king;
 pub mod truncated_ds;
 
+pub use ba_unauth::{PhaseKing, PhaseKingMsg, PhaseKingOutput};
 pub use dispatch::{EsUnauth, EsUnauthMsg};
-pub use phase_king::{PhaseKing, PhaseKingMsg, PhaseKingOutput};
 pub use truncated_ds::TruncatedDs;

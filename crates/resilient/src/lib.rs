@@ -64,8 +64,7 @@ use ba_core::BitVec;
 use ba_early::{PhaseKing, PhaseKingMsg};
 use ba_graded::UnauthGcMsg;
 use ba_sim::{
-    forward_sub, sub_inbox, Adversary, AdversaryCtx, Envelope, Outbox, Process, ProcessId, Value,
-    WireSize,
+    step_sub, Adversary, AdversaryCtx, Envelope, Outbox, Process, ProcessId, Value, WireSize,
 };
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -308,13 +307,17 @@ impl Process for ResilientBa {
         let Some(inner) = self.inner.as_mut() else {
             return;
         };
-        let sub = sub_inbox(inbox, |m| match m {
-            ResilientMsg::Phase(x) => Some(Arc::clone(x)),
-            _ => None,
-        });
-        let mut sub_out = Outbox::new(out.sender(), out.system_size());
-        inner.step(round - 1, &sub, &mut sub_out);
-        forward_sub(sub_out, out, ResilientMsg::Phase);
+        step_sub(
+            inner,
+            round - 1,
+            inbox,
+            out,
+            ResilientMsg::Phase,
+            |m| match m {
+                ResilientMsg::Phase(x) => Some(Arc::clone(x)),
+                _ => None,
+            },
+        );
         if let Some(o) = inner.output() {
             self.out = Some(o.decision.unwrap_or(o.value));
         }
@@ -381,12 +384,12 @@ impl ResilientDisruptor {
         slot: u64,
         wrap: impl Fn(Arc<PhaseKingMsg>) -> M,
     ) {
-        let gc = |inner: UnauthGcMsg, main: bool| {
+        let gc = |inner: UnauthGcMsg, first: bool| {
             let inner = Arc::new(inner);
-            wrap(Arc::new(if main {
-                PhaseKingMsg::Main { phase: tag, inner }
+            wrap(Arc::new(if first {
+                PhaseKingMsg::First { phase: tag, inner }
             } else {
-                PhaseKingMsg::Detect { phase: tag, inner }
+                PhaseKingMsg::Second { phase: tag, inner }
             }))
         };
         let split_cast = |ctx: &mut AdversaryCtx<'_, M>, msg: M| {
@@ -402,8 +405,8 @@ impl ResilientDisruptor {
             2 => {
                 if faulty.contains(&king) {
                     for to in ProcessId::all(n) {
-                        let value = Value(u64::from(to.0 % 2));
-                        let msg = wrap(Arc::new(PhaseKingMsg::King { phase: tag, value }));
+                        let inner = Arc::new(Value(u64::from(to.0 % 2)));
+                        let msg = wrap(Arc::new(PhaseKingMsg::Middle { phase: tag, inner }));
                         ctx.send(king, to, msg);
                     }
                 }
@@ -719,9 +722,9 @@ mod tests {
         let classify = ResilientMsg::Classify(Arc::new(BitVec::ones(16)));
         // 1 discriminant + 4 length prefix + 2 packed bytes.
         assert_eq!(classify.wire_bytes(), 7);
-        let king = ResilientMsg::Phase(Arc::new(PhaseKingMsg::King {
+        let king = ResilientMsg::Phase(Arc::new(PhaseKingMsg::Middle {
             phase: 0,
-            value: Value(1),
+            inner: Arc::new(Value(1)),
         }));
         // 1 + (1 discriminant + 2 phase + 8 value).
         assert_eq!(king.wire_bytes(), 12);

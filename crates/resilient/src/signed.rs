@@ -61,8 +61,7 @@ use ba_core::BitVec;
 use ba_crypto::{Encodable, Encoder, Pki, Signed, SigningKey};
 use ba_early::{PhaseKing, PhaseKingMsg};
 use ba_sim::{
-    forward_sub, sub_inbox, Adversary, AdversaryCtx, Envelope, Outbox, Process, ProcessId, Value,
-    WireSize,
+    step_sub, Adversary, AdversaryCtx, Envelope, Outbox, Process, ProcessId, Value, WireSize,
 };
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
@@ -423,13 +422,17 @@ impl Process for ResilientSigned {
         let Some(inner) = self.inner.as_mut() else {
             return;
         };
-        let sub = sub_inbox(inbox, |m| match m {
-            ResilientSignedMsg::Phase(x) => Some(Arc::clone(x)),
-            _ => None,
-        });
-        let mut sub_out = Outbox::new(out.sender(), out.system_size());
-        inner.step(round - PHASE_START, &sub, &mut sub_out);
-        forward_sub(sub_out, out, ResilientSignedMsg::Phase);
+        step_sub(
+            inner,
+            round - PHASE_START,
+            inbox,
+            out,
+            ResilientSignedMsg::Phase,
+            |m| match m {
+                ResilientSignedMsg::Phase(x) => Some(Arc::clone(x)),
+                _ => None,
+            },
+        );
         if let Some(o) = inner.output() {
             self.out = Some(o.decision.unwrap_or(o.value));
         }

@@ -19,8 +19,8 @@
 //!    "broadcasting twice costs `2n` messages" convention).
 //! 3. **Composability.** Protocols implement [`Process`]; higher-level
 //!    protocols embed lower-level ones as plain struct fields and translate
-//!    message types explicitly, which keeps Byzantine cross-instance replay
-//!    visible in the type system.
+//!    message types explicitly (one call, [`step_sub`]), which keeps
+//!    Byzantine cross-instance replay visible in the type system.
 //!
 //! ## Round semantics
 //!
@@ -78,7 +78,7 @@ mod wire;
 pub use adversary::{
     Adversary, AdversaryCtx, CrashAdversary, FnAdversary, ReplayAdversary, SilentAdversary,
 };
-pub use compose::{forward_sub, sub_inbox};
+pub use compose::step_sub;
 pub use envelope::{Envelope, Outbox};
 pub use erased::{erase, ErasedSession, MapOutput};
 pub use id::{ProcessId, Value};

@@ -64,11 +64,6 @@ impl<V: Ord + Clone + Hash> Tally<V> {
         self.counts.get(v).copied().unwrap_or(0)
     }
 
-    /// Total occurrences across all values.
-    pub fn total(&self) -> usize {
-        self.counts.values().sum()
-    }
-
     /// The smallest value among those occurring the maximum number of
     /// times, or `None` if the tally is empty.
     pub fn plurality(&self) -> Option<&V> {
@@ -82,15 +77,6 @@ impl<V: Ord + Clone + Hash> Tally<V> {
             .iter()
             .find(|(_, &c)| c >= threshold)
             .map(|(v, _)| v)
-    }
-
-    /// All values whose count is at least `threshold`, in increasing order.
-    pub fn all_reaching(&self, threshold: usize) -> Vec<&V> {
-        self.counts
-            .iter()
-            .filter(|(_, &c)| c >= threshold)
-            .map(|(v, _)| v)
-            .collect()
     }
 
     /// Iterates over `(value, count)` pairs in increasing value order.
@@ -180,16 +166,14 @@ mod tests {
         let t: Tally<u32> = [3, 3, 3, 1, 1, 8, 8, 8].into_iter().collect();
         assert_eq!(t.first_reaching(3), Some(&3));
         assert_eq!(t.first_reaching(4), None);
-        assert_eq!(t.all_reaching(2), vec![&1, &3, &8]);
     }
 
     #[test]
-    fn tally_counts_and_total() {
+    fn tally_counts() {
         let mut t = Tally::new();
         t.extend([Value(1), Value(1), Value(4)]);
         assert_eq!(t.count(&Value(1)), 2);
         assert_eq!(t.count(&Value(9)), 0);
-        assert_eq!(t.total(), 3);
     }
 
     #[test]

@@ -16,6 +16,9 @@
 //!
 //! per phase (5 rounds: 2 + 1 + 2, with each sub-protocol's output round
 //! overlapping the next one's first send, exactly as the paper counts).
+//! It is the [phase loop](crate::phases) with [`CoreSetGraded`] as the
+//! graded consensus and [`Conciliation`] in the middle, both over the
+//! phase's listen block.
 //!
 //! **Theorem 5.** If `k` bounds the number of misclassified processes and
 //! `(2k+1)(3k+1) ≤ n − t − k`, the protocol satisfies Agreement and
@@ -23,94 +26,64 @@
 //! per process, and every honest process returns within `5(2k+1)` rounds
 //! — *even when the bound fails*, only the correctness guarantees are
 //! lost, never the round/message bounds.
-//!
-//! Messages carry `(phase, slot)` tags; an honest process routes a
-//! message into a sub-protocol only if the tag matches, so cross-phase
-//! replay is inert.
 
 use crate::conciliation::{ConcMsg, Conciliation};
 use crate::gc_core_set::{CoreSetGcMsg, CoreSetGraded};
+use crate::phases::{PhaseMsg, PhaseParts, Phases};
 use crate::ListenSet;
-use ba_sim::{forward_sub, sub_inbox, Envelope, Outbox, Process, ProcessId, Value, WireSize};
+use ba_sim::{ProcessId, Value};
 use std::sync::Arc;
 
-/// Tagged messages of Algorithm 5.
+/// Algorithm 5's parts: phase `p` listens to block `p` of `π(cᵢ)`.
 #[derive(Clone, Debug)]
-pub enum Alg5Msg {
-    /// First graded consensus of a phase (line 6).
-    GcA {
-        /// Phase number (0-based).
-        phase: u16,
-        /// Algorithm 3 payload.
-        inner: Arc<CoreSetGcMsg>,
-    },
-    /// Conciliation of a phase (line 7).
-    Conc {
-        /// Phase number (0-based).
-        phase: u16,
-        /// Algorithm 4 payload.
-        inner: Arc<ConcMsg>,
-    },
-    /// Second graded consensus of a phase (line 9).
-    GcB {
-        /// Phase number (0-based).
-        phase: u16,
-        /// Algorithm 3 payload.
-        inner: Arc<CoreSetGcMsg>,
-    },
-}
-
-/// A discriminant byte, the phase tag, and the inner payload.
-impl WireSize for Alg5Msg {
-    fn wire_bytes(&self) -> u64 {
-        match self {
-            Alg5Msg::GcA { phase, inner } | Alg5Msg::GcB { phase, inner } => {
-                1 + phase.wire_bytes() + inner.wire_bytes()
-            }
-            Alg5Msg::Conc { phase, inner } => 1 + phase.wire_bytes() + inner.wire_bytes(),
-        }
-    }
-}
-
-/// The result of Algorithm 5 at one process.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct Alg5Output {
-    /// The value returned (line 10 or line 14 of the pseudocode).
-    pub value: Value,
-    /// The decided value, if the grade-1 path (lines 11–13) fired.
-    pub decision: Option<Value>,
-}
-
-/// One process's state machine for Algorithm 5.
-pub struct UnauthBaWithClassification {
-    me: ProcessId,
+pub struct Alg5Parts {
     n: usize,
     k: usize,
     order: Arc<Vec<ProcessId>>,
-    value: Value,
-    decision: Option<Value>,
-    gc_a: Option<CoreSetGraded>,
-    conc: Option<Conciliation>,
-    gc_b: Option<CoreSetGraded>,
-    out: Option<Alg5Output>,
 }
 
-impl std::fmt::Debug for UnauthBaWithClassification {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("UnauthBaWithClassification")
-            .field("me", &self.me)
-            .field("k", &self.k)
-            .field("value", &self.value)
-            .field("decision", &self.decision)
-            .field("out", &self.out)
-            .finish_non_exhaustive()
+impl Alg5Parts {
+    fn listen(&self, phase: usize) -> ListenSet {
+        let block = 3 * self.k + 1;
+        self.order[block * phase..block * (phase + 1)]
+            .iter()
+            .copied()
+            .collect()
     }
 }
 
-impl UnauthBaWithClassification {
+impl PhaseParts for Alg5Parts {
+    type Gc = CoreSetGraded;
+    type Middle = Conciliation;
+
+    const NAME: &'static str = "UnauthBaWithClassification";
+
+    fn phases(&self) -> usize {
+        2 * self.k + 1
+    }
+
+    fn graded(&self, me: ProcessId, phase: usize, value: Value) -> CoreSetGraded {
+        CoreSetGraded::new(me, self.n, self.k, value, self.listen(phase))
+    }
+
+    fn middle(&self, me: ProcessId, phase: usize, value: Value) -> Conciliation {
+        Conciliation::new(me, self.n, self.k, value, self.listen(phase))
+    }
+}
+
+/// Tagged messages of Algorithm 5: lines 6 (`First`), 7 (`Middle`) and
+/// 9 (`Second`).
+pub type Alg5Msg = PhaseMsg<CoreSetGcMsg, ConcMsg>;
+
+/// One process's state machine for Algorithm 5. Its output's `value` is
+/// the value returned (line 10 or 14 of the pseudocode) and its
+/// `decision` is set if the grade-1 path (lines 11–13) fired.
+pub type UnauthBaWithClassification = Phases<Alg5Parts>;
+
+impl Phases<Alg5Parts> {
     /// Total number of communication rounds: `5(2k + 1)`.
     pub fn rounds(k: usize) -> u64 {
-        5 * (2 * k as u64 + 1)
+        Self::PHASE_ROUNDS * (2 * k as u64 + 1)
     }
 
     /// Whether the `2k+1` listen blocks of size `3k+1` fit into `n`
@@ -161,192 +134,7 @@ impl UnauthBaWithClassification {
             },
             "π(c) must be a permutation"
         );
-        UnauthBaWithClassification {
-            me,
-            n,
-            k,
-            order,
-            value: input,
-            decision: None,
-            gc_a: None,
-            conc: None,
-            gc_b: None,
-            out: None,
-        }
-    }
-
-    fn listen_for_phase(&self, phase: usize) -> ListenSet {
-        let block = 3 * self.k + 1;
-        self.order[block * phase..block * (phase + 1)]
-            .iter()
-            .copied()
-            .collect()
-    }
-
-    fn phases(&self) -> usize {
-        2 * self.k + 1
-    }
-
-    /// Drives one sub-protocol step, translating inboxes/outboxes.
-    #[allow(clippy::too_many_arguments)]
-    fn drive_gc(
-        gc: &mut CoreSetGraded,
-        local: u64,
-        phase: u16,
-        slot_is_a: bool,
-        inbox: &[Envelope<Alg5Msg>],
-        out: &mut Outbox<Alg5Msg>,
-        me: ProcessId,
-        n: usize,
-    ) {
-        let sub = sub_inbox(inbox, |m| match (m, slot_is_a) {
-            (Alg5Msg::GcA { phase: p, inner }, true) if *p == phase => Some(Arc::clone(inner)),
-            (Alg5Msg::GcB { phase: p, inner }, false) if *p == phase => Some(Arc::clone(inner)),
-            _ => None,
-        });
-        let mut sub_out = Outbox::new(me, n);
-        gc.step(local, &sub, &mut sub_out);
-        forward_sub(sub_out, out, |inner| {
-            if slot_is_a {
-                Alg5Msg::GcA { phase, inner }
-            } else {
-                Alg5Msg::GcB { phase, inner }
-            }
-        });
-    }
-
-    fn drive_conc(
-        conc: &mut Conciliation,
-        local: u64,
-        phase: u16,
-        inbox: &[Envelope<Alg5Msg>],
-        out: &mut Outbox<Alg5Msg>,
-        me: ProcessId,
-        n: usize,
-    ) {
-        let sub = sub_inbox(inbox, |m| match m {
-            Alg5Msg::Conc { phase: p, inner } if *p == phase => Some(Arc::clone(inner)),
-            _ => None,
-        });
-        let mut sub_out = Outbox::new(me, n);
-        conc.step(local, &sub, &mut sub_out);
-        forward_sub(sub_out, out, |inner| Alg5Msg::Conc { phase, inner });
-    }
-
-    /// Completes the phase's second graded consensus and applies lines
-    /// 10–13. Returns `true` if the process returned (line 10).
-    fn complete_phase(
-        &mut self,
-        phase: usize,
-        inbox: &[Envelope<Alg5Msg>],
-        out: &mut Outbox<Alg5Msg>,
-    ) -> bool {
-        let mut gc = self.gc_b.take().expect("gc_b live at phase completion");
-        Self::drive_gc(&mut gc, 2, phase as u16, false, inbox, out, self.me, self.n);
-        let graded = gc.output().expect("Algorithm 3 outputs at step 2");
-        self.value = graded.value;
-        if let Some(decided) = self.decision {
-            // Line 10: already decided in an earlier phase; return now.
-            self.out = Some(Alg5Output {
-                value: decided,
-                decision: self.decision,
-            });
-            return true;
-        }
-        if graded.paper_grade() == 1 {
-            // Lines 11–13.
-            self.decision = Some(graded.value);
-        }
-        false
-    }
-}
-
-impl Process for UnauthBaWithClassification {
-    type Msg = Alg5Msg;
-    type Output = Alg5Output;
-
-    fn step(&mut self, round: u64, inbox: &[Envelope<Alg5Msg>], out: &mut Outbox<Alg5Msg>) {
-        if self.out.is_some() {
-            return;
-        }
-        let phase = (round / 5) as usize;
-        let off = round % 5;
-        if phase > self.phases() || (phase == self.phases() && off > 0) {
-            return;
-        }
-
-        match off {
-            0 => {
-                // Finish the previous phase's second graded consensus
-                // (its output step overlaps this round), then start this
-                // phase's first one.
-                if phase > 0 && self.complete_phase(phase - 1, inbox, out) {
-                    return;
-                }
-                if phase == self.phases() {
-                    // Line 14: all phases done.
-                    self.out = Some(Alg5Output {
-                        value: self.value,
-                        decision: self.decision,
-                    });
-                    return;
-                }
-                let listen = self.listen_for_phase(phase);
-                let mut gc = CoreSetGraded::new(self.me, self.n, self.k, self.value, listen);
-                Self::drive_gc(&mut gc, 0, phase as u16, true, inbox, out, self.me, self.n);
-                self.gc_a = Some(gc);
-            }
-            1 => {
-                let mut gc = self.gc_a.take().expect("gc_a live");
-                Self::drive_gc(&mut gc, 1, phase as u16, true, inbox, out, self.me, self.n);
-                self.gc_a = Some(gc);
-            }
-            2 => {
-                // gc_a output; conciliation starts with the updated value
-                // (line 6 feeding line 7).
-                let mut gc = self.gc_a.take().expect("gc_a live");
-                Self::drive_gc(&mut gc, 2, phase as u16, true, inbox, out, self.me, self.n);
-                let graded = gc.output().expect("Algorithm 3 outputs at step 2");
-                self.value = graded.value;
-                // Stash the grade inside gc_a slot via re-store: we keep
-                // the graded result by re-purposing the decision flow
-                // below (grade needed at off 3).
-                self.gc_a = Some(gc);
-                let listen = self.listen_for_phase(phase);
-                let mut conc = Conciliation::new(self.me, self.n, self.k, self.value, listen);
-                Self::drive_conc(&mut conc, 0, phase as u16, inbox, out, self.me, self.n);
-                self.conc = Some(conc);
-            }
-            3 => {
-                let mut conc = self.conc.take().expect("conc live");
-                Self::drive_conc(&mut conc, 1, phase as u16, inbox, out, self.me, self.n);
-                let conciliated = conc.output().expect("Algorithm 4 outputs at step 1");
-                let gc_a = self.gc_a.take().expect("gc_a holds the phase grade");
-                let graded = gc_a.output().expect("already completed");
-                // Line 8: adopt the conciliation value at grade 0.
-                if graded.paper_grade() == 0 {
-                    self.value = conciliated;
-                }
-                let listen = self.listen_for_phase(phase);
-                let mut gc = CoreSetGraded::new(self.me, self.n, self.k, self.value, listen);
-                Self::drive_gc(&mut gc, 0, phase as u16, false, inbox, out, self.me, self.n);
-                self.gc_b = Some(gc);
-            }
-            4 => {
-                let mut gc = self.gc_b.take().expect("gc_b live");
-                Self::drive_gc(&mut gc, 1, phase as u16, false, inbox, out, self.me, self.n);
-                self.gc_b = Some(gc);
-            }
-            _ => unreachable!("off < 5"),
-        }
-    }
-
-    fn output(&self) -> Option<Alg5Output> {
-        self.out
-    }
-
-    fn halted(&self) -> bool {
-        self.out.is_some()
+        Self::with(Alg5Parts { n, k, order }, me, input)
     }
 }
 
@@ -437,7 +225,7 @@ mod tests {
                         ctx.send(
                             ProcessId(from),
                             ProcessId(to),
-                            Alg5Msg::GcA {
+                            Alg5Msg::First {
                                 phase: 0,
                                 inner: Arc::new(CoreSetGcMsg::Input(v)),
                             },
@@ -534,7 +322,7 @@ mod tests {
             if ctx.round >= 5 && ctx.round <= 9 {
                 ctx.broadcast(
                     ProcessId(14),
-                    Alg5Msg::GcA {
+                    Alg5Msg::First {
                         phase: 0,
                         inner: Arc::new(CoreSetGcMsg::Input(Value(999))),
                     },

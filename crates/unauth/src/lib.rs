@@ -1,18 +1,16 @@
-//! # ba-unauth — the paper's unauthenticated protocols (§7)
+//! # ba-unauth — the paper's unauthenticated protocols (§7) and phase king
 //!
 //! Faithful implementations of three algorithms from *Byzantine Agreement
-//! with Predictions*:
+//! with Predictions*, plus the phase-king substitute (S4) that shares
+//! Algorithm 5's phase loop:
 //!
-//! * [`gc_core_set::CoreSetGraded`] — **Algorithm 3**, graded consensus
-//!   with a core set: quorum thresholds `2k+1` / `k+1` inside per-process
-//!   listen sets `Lᵢ` of size `3k+1`;
-//! * [`conciliation::Conciliation`] — **Algorithm 4**, the one-round
-//!   leader-graph conciliation that converges honest proposals when the
-//!   listen sets are honest and share a core;
-//! * [`ba_classification::UnauthBaWithClassification`] — **Algorithm 5**,
-//!   the conditional Byzantine agreement that runs `2k+1` phases of
-//!   (graded consensus, conciliation, graded consensus) over the priority
-//!   blocks of the classification ordering `π(cᵢ)`.
+//! | module | contents |
+//! |---|---|
+//! | [`gc_core_set`] | [`CoreSetGraded`] — **Algorithm 3**, graded consensus with a core set: quorum thresholds `2k+1` / `k+1` inside per-process listen sets `Lᵢ` of size `3k+1` |
+//! | [`conciliation`] | [`Conciliation`] — **Algorithm 4**, the one-round leader-graph conciliation that converges honest proposals when the listen sets are honest and share a core |
+//! | [`phases`] | [`Phases`] — the one 5-round phase loop (graded consensus, a one-round middle sub-protocol, graded consensus) that both protocols below instantiate through [`PhaseParts`] |
+//! | [`ba_classification`] | [`UnauthBaWithClassification`] — **Algorithm 5**, the conditional Byzantine agreement that runs `2k+1` phases of (Algorithm 3, Algorithm 4, Algorithm 3) over the priority blocks of the classification ordering `π(cᵢ)` |
+//! | [`phase_king`] | [`PhaseKing`] — early-stopping phase king (`t < n/3`), phases of (graded consensus, king broadcast, graded consensus); the S4 early-stopping substitute and the prediction-free baseline, re-exported by `ba-early` |
 //!
 //! The conditional contract (Theorem 5): if `k` upper-bounds the number of
 //! misclassified processes and `(2k+1)(3k+1) ≤ n − t − k`, Algorithm 5
@@ -23,15 +21,20 @@
 //! the outputs — the guess-and-double wrapper in `ba-core` protects
 //! safety in that case.
 //!
-//! Interestingly (§7), none of this requires `t < n/3`.
+//! Interestingly (§7), none of Algorithms 3–5 requires `t < n/3`; phase
+//! king does.
 
 pub mod ba_classification;
 pub mod conciliation;
 pub mod gc_core_set;
+pub mod phase_king;
+pub mod phases;
 
-pub use ba_classification::{Alg5Msg, Alg5Output, UnauthBaWithClassification};
+pub use ba_classification::{Alg5Msg, UnauthBaWithClassification};
 pub use conciliation::{ConcMsg, Conciliation};
 pub use gc_core_set::{CoreSetGcMsg, CoreSetGraded};
+pub use phase_king::{PhaseKing, PhaseKingMsg, PhaseKingOutput};
+pub use phases::{PhaseMsg, PhaseOutput, PhaseParts, Phases};
 
 use ba_sim::ProcessId;
 

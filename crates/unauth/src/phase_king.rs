@@ -17,6 +17,9 @@
 //!   if g' = 2: decide v
 //! ```
 //!
+//! It is the [phase loop](crate::phases) with [`UnauthGraded`] as the
+//! graded consensus and a one-round [`KingRound`] in the middle.
+//!
 //! *Safety.* Deciding requires detect-grade 2; grade-2 coherence of the
 //! graded consensus then forces every honest process to carry the decided
 //! value into the next phase, where strong unanimity makes everyone
@@ -30,71 +33,96 @@
 //! phases = `5(f + 2)` rounds — the early-stopping bound.
 //!
 //! Messages are `O(n²)` per phase, i.e. `O(fn²)` per run — the documented
-//! deviation from \[32\]'s `O(n²)` total (substitution S4; see the
-//! [crate docs](crate)).
+//! deviation from \[32\]'s `O(n²)` total (substitution S4, documented in
+//! `ba-early`'s crate docs).
 
+use crate::phases::{PhaseMsg, PhaseOutput, PhaseParts, Phases};
 use ba_graded::{UnauthGcMsg, UnauthGraded};
-use ba_sim::{
-    distinct_values_by_sender, forward_sub, sub_inbox, Envelope, Outbox, Process, ProcessId, Value,
-    WireSize,
-};
-use std::sync::Arc;
+use ba_sim::{Envelope, Outbox, Process, ProcessId, Value};
 
-/// Messages of the phase-king protocol.
+/// The king round: the phase's king broadcasts its value, and every
+/// process outputs the first value it received from the king, or its
+/// own value if the king sent nothing.
 #[derive(Clone, Debug)]
-pub enum PhaseKingMsg {
-    /// Main graded consensus of a phase.
-    Main {
-        /// Phase number (0-based).
-        phase: u16,
-        /// Inner graded-consensus payload.
-        inner: Arc<UnauthGcMsg>,
-    },
-    /// The king's value broadcast.
-    King {
-        /// Phase number (0-based).
-        phase: u16,
-        /// The king's post-consensus value.
-        value: Value,
-    },
-    /// Detection graded consensus of a phase.
-    Detect {
-        /// Phase number (0-based).
-        phase: u16,
-        /// Inner graded-consensus payload.
-        inner: Arc<UnauthGcMsg>,
-    },
+pub struct KingRound {
+    me: ProcessId,
+    king: ProcessId,
+    value: Value,
+    out: Option<Value>,
 }
 
-/// A discriminant byte, the phase tag, and the variant's payload.
-impl WireSize for PhaseKingMsg {
-    fn wire_bytes(&self) -> u64 {
-        1 + match self {
-            PhaseKingMsg::Main { phase, inner } | PhaseKingMsg::Detect { phase, inner } => {
-                phase.wire_bytes() + inner.wire_bytes()
+impl Process for KingRound {
+    type Msg = Value;
+    type Output = Value;
+
+    fn step(&mut self, round: u64, inbox: &[Envelope<Value>], out: &mut Outbox<Value>) {
+        if round == 0 {
+            if self.me == self.king {
+                out.broadcast(self.value);
             }
-            PhaseKingMsg::King { phase, value } => phase.wire_bytes() + value.wire_bytes(),
+        } else {
+            let crown = inbox.iter().find(|env| env.from == self.king);
+            self.out = Some(crown.map_or(self.value, |env| *env.payload));
+        }
+    }
+
+    fn output(&self) -> Option<Value> {
+        self.out
+    }
+
+    fn halted(&self) -> bool {
+        self.out.is_some()
+    }
+}
+
+/// Phase king's parts: [`UnauthGraded`] with fault bound `t`, and one
+/// [`KingRound`] per scheduled king.
+#[derive(Clone, Debug)]
+pub struct KingParts {
+    n: usize,
+    t: usize,
+    /// The king of phase `p` is `kings[p]`; one entry per phase.
+    kings: Vec<ProcessId>,
+}
+
+impl PhaseParts for KingParts {
+    type Gc = UnauthGraded;
+    type Middle = KingRound;
+
+    const NAME: &'static str = "PhaseKing";
+
+    fn phases(&self) -> usize {
+        self.kings.len()
+    }
+
+    fn graded(&self, me: ProcessId, _phase: usize, value: Value) -> UnauthGraded {
+        UnauthGraded::new(me, self.n, self.t, value)
+    }
+
+    fn middle(&self, me: ProcessId, phase: usize, value: Value) -> KingRound {
+        KingRound {
+            me,
+            king: self.kings[phase],
+            value,
+            out: None,
         }
     }
 }
 
+/// Messages of the phase-king protocol; the middle payload is the
+/// king's value.
+pub type PhaseKingMsg = PhaseMsg<UnauthGcMsg, Value>;
+
 /// Result of a phase-king run.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct PhaseKingOutput {
-    /// The value held when returning.
-    pub value: Value,
-    /// The decision, if the detect consensus ever fired grade 2 (always
-    /// the case when `f + 2 ≤` the configured phase budget).
-    pub decision: Option<Value>,
-}
+pub type PhaseKingOutput = PhaseOutput;
 
 /// One process's state machine for early-stopping phase-king agreement.
 ///
 /// # Examples
 ///
 /// ```
-/// use ba_early::PhaseKing;
 /// use ba_sim::{ProcessId, Runner, SilentAdversary, Value};
+/// use ba_unauth::PhaseKing;
 ///
 /// let n = 4;
 /// let procs: Vec<_> = (0..n as u32)
@@ -106,37 +134,12 @@ pub struct PhaseKingOutput {
 ///     assert_eq!(o.decision, Some(Value(3)));
 /// }
 /// ```
-pub struct PhaseKing {
-    me: ProcessId,
-    n: usize,
-    t: usize,
-    phases: usize,
-    /// Explicit king schedule (one entry per phase); `None` falls back
-    /// to the classic identity rotation `p_{phase mod n}`.
-    kings: Option<Arc<[ProcessId]>>,
-    value: Value,
-    decision: Option<Value>,
-    main: Option<UnauthGraded>,
-    main_grade: u8,
-    detect: Option<UnauthGraded>,
-    out: Option<PhaseKingOutput>,
-}
+pub type PhaseKing = Phases<KingParts>;
 
-impl std::fmt::Debug for PhaseKing {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("PhaseKing")
-            .field("me", &self.me)
-            .field("phases", &self.phases)
-            .field("value", &self.value)
-            .field("decision", &self.decision)
-            .finish_non_exhaustive()
-    }
-}
-
-impl PhaseKing {
+impl Phases<KingParts> {
     /// Rounds used by a run with the given phase budget.
     pub fn rounds(phases: usize) -> u64 {
-        5 * phases as u64
+        Self::PHASE_ROUNDS * phases as u64
     }
 
     /// Phase budget sufficient to early-stop with `f ≤ k` faults.
@@ -144,27 +147,16 @@ impl PhaseKing {
         k + 2
     }
 
-    /// Creates a state machine with an explicit phase budget.
+    /// Creates a state machine with an explicit phase budget; the king
+    /// of phase `p` is `p_{p mod n}`.
     ///
     /// # Panics
     ///
     /// Panics unless `3t < n` and `phases ≥ 1`.
     pub fn new(me: ProcessId, n: usize, t: usize, input: Value, phases: usize) -> Self {
-        assert!(3 * t < n, "phase king needs 3t < n");
         assert!(phases >= 1);
-        PhaseKing {
-            me,
-            n,
-            t,
-            phases,
-            kings: None,
-            value: input,
-            decision: None,
-            main: None,
-            main_grade: 0,
-            detect: None,
-            out: None,
-        }
+        let kings = (0..phases).map(|p| ProcessId((p % n) as u32)).collect();
+        Self::with_schedule(me, n, t, input, kings)
     }
 
     /// A full, unconditionally correct run: `t + 2` phases (the
@@ -197,158 +189,18 @@ impl PhaseKing {
             kings.iter().all(|k| (k.0 as usize) < n),
             "king schedule names an identifier outside the system"
         );
-        let mut pk = Self::new(me, n, t, input, kings.len());
-        pk.kings = Some(kings.into());
-        pk
+        Self::with_schedule(me, n, t, input, kings)
     }
 
-    fn king_of(&self, phase: usize) -> ProcessId {
-        match &self.kings {
-            Some(kings) => kings[phase],
-            None => ProcessId((phase % self.n) as u32),
-        }
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn drive_gc(
-        gc: &mut UnauthGraded,
-        local: u64,
-        phase: u16,
-        is_main: bool,
-        inbox: &[Envelope<PhaseKingMsg>],
-        out: &mut Outbox<PhaseKingMsg>,
+    fn with_schedule(
         me: ProcessId,
         n: usize,
-    ) {
-        let sub = sub_inbox(inbox, |m| match (m, is_main) {
-            (PhaseKingMsg::Main { phase: p, inner }, true) if *p == phase => {
-                Some(Arc::clone(inner))
-            }
-            (PhaseKingMsg::Detect { phase: p, inner }, false) if *p == phase => {
-                Some(Arc::clone(inner))
-            }
-            _ => None,
-        });
-        let mut sub_out = Outbox::new(me, n);
-        gc.step(local, &sub, &mut sub_out);
-        forward_sub(sub_out, out, |inner| {
-            if is_main {
-                PhaseKingMsg::Main { phase, inner }
-            } else {
-                PhaseKingMsg::Detect { phase, inner }
-            }
-        });
-    }
-
-    /// Completes a phase's detect consensus; returns `true` if the
-    /// process returned.
-    fn complete_phase(
-        &mut self,
-        inbox: &[Envelope<PhaseKingMsg>],
-        out: &mut Outbox<PhaseKingMsg>,
-        phase: usize,
-    ) -> bool {
-        let mut gc = self.detect.take().expect("detect live at completion");
-        Self::drive_gc(&mut gc, 2, phase as u16, false, inbox, out, self.me, self.n);
-        let graded = gc.output().expect("graded consensus outputs at step 2");
-        self.value = graded.value;
-        if let Some(decided) = self.decision {
-            self.out = Some(PhaseKingOutput {
-                value: decided,
-                decision: self.decision,
-            });
-            return true;
-        }
-        if graded.grade == 2 {
-            self.decision = Some(graded.value);
-        }
-        false
-    }
-}
-
-impl Process for PhaseKing {
-    type Msg = PhaseKingMsg;
-    type Output = PhaseKingOutput;
-
-    fn step(
-        &mut self,
-        round: u64,
-        inbox: &[Envelope<PhaseKingMsg>],
-        out: &mut Outbox<PhaseKingMsg>,
-    ) {
-        if self.out.is_some() {
-            return;
-        }
-        let phase = (round / 5) as usize;
-        let off = round % 5;
-        if phase > self.phases || (phase == self.phases && off > 0) {
-            return;
-        }
-        match off {
-            0 => {
-                if phase > 0 && self.complete_phase(inbox, out, phase - 1) {
-                    return;
-                }
-                if phase == self.phases {
-                    self.out = Some(PhaseKingOutput {
-                        value: self.value,
-                        decision: self.decision,
-                    });
-                    return;
-                }
-                let mut gc = UnauthGraded::new(self.me, self.n, self.t, self.value);
-                Self::drive_gc(&mut gc, 0, phase as u16, true, inbox, out, self.me, self.n);
-                self.main = Some(gc);
-            }
-            1 => {
-                let mut gc = self.main.take().expect("main live");
-                Self::drive_gc(&mut gc, 1, phase as u16, true, inbox, out, self.me, self.n);
-                self.main = Some(gc);
-            }
-            2 => {
-                let mut gc = self.main.take().expect("main live");
-                Self::drive_gc(&mut gc, 2, phase as u16, true, inbox, out, self.me, self.n);
-                let graded = gc.output().expect("graded consensus outputs at step 2");
-                self.value = graded.value;
-                self.main_grade = graded.grade;
-                if self.me == self.king_of(phase) {
-                    out.broadcast(PhaseKingMsg::King {
-                        phase: phase as u16,
-                        value: self.value,
-                    });
-                }
-            }
-            3 => {
-                // Receive the king's value; adopt it below grade 2.
-                let king = self.king_of(phase);
-                let king_values = distinct_values_by_sender(inbox, |m| match m {
-                    PhaseKingMsg::King { phase: p, value } if *p as usize == phase => Some(*value),
-                    _ => None,
-                });
-                if self.main_grade < 2 {
-                    if let Some(v) = king_values.get(&king) {
-                        self.value = *v;
-                    }
-                }
-                let mut gc = UnauthGraded::new(self.me, self.n, self.t, self.value);
-                Self::drive_gc(&mut gc, 0, phase as u16, false, inbox, out, self.me, self.n);
-                self.detect = Some(gc);
-            }
-            4 => {
-                let mut gc = self.detect.take().expect("detect live");
-                Self::drive_gc(&mut gc, 1, phase as u16, false, inbox, out, self.me, self.n);
-                self.detect = Some(gc);
-            }
-            _ => unreachable!(),
-        }
-    }
-
-    fn output(&self) -> Option<PhaseKingOutput> {
-        self.out
-    }
-
-    fn halted(&self) -> bool {
-        self.out.is_some()
+        t: usize,
+        input: Value,
+        kings: Vec<ProcessId>,
+    ) -> Self {
+        assert!(3 * t < n, "phase king needs 3t < n");
+        Self::with(KingParts { n, t, kings }, me, input)
     }
 }
 
@@ -356,6 +208,7 @@ impl Process for PhaseKing {
 mod tests {
     use super::*;
     use ba_sim::{AdversaryCtx, FnAdversary, Runner, SilentAdversary};
+    use std::sync::Arc;
 
     fn system(n: usize, t: usize, inputs: &[u64], phases: usize) -> Vec<PhaseKing> {
         inputs
@@ -408,12 +261,12 @@ mod tests {
                             ProcessId(0),
                             ProcessId(to),
                             if ctx.round == 0 {
-                                PhaseKingMsg::Main {
+                                PhaseKingMsg::First {
                                     phase: 0,
                                     inner: Arc::new(UnauthGcMsg::Vote(v)),
                                 }
                             } else {
-                                PhaseKingMsg::Detect {
+                                PhaseKingMsg::Second {
                                     phase: 0,
                                     inner: Arc::new(UnauthGcMsg::Vote(v)),
                                 }
@@ -426,9 +279,9 @@ mod tests {
                         ctx.send(
                             ProcessId(0),
                             ProcessId(to),
-                            PhaseKingMsg::King {
+                            PhaseKingMsg::Middle {
                                 phase: 0,
-                                value: Value(u64::from(to % 2)),
+                                inner: Arc::new(Value(u64::from(to % 2))),
                             },
                         );
                     }
@@ -453,6 +306,36 @@ mod tests {
     }
 
     #[test]
+    fn faulty_king_cannot_overrule_grade_two() {
+        // Unanimous honest inputs give every honest process grade 2 in
+        // the phase-0 graded consensus, so the faulty phase-0 king's
+        // value must be ignored (the value is adopted only below grade
+        // 2) and the run decides the honest input.
+        let n = 4;
+        let t = 1;
+        let adv = FnAdversary::new(|ctx: &mut AdversaryCtx<'_, PhaseKingMsg>| {
+            if ctx.round == 2 {
+                ctx.broadcast(
+                    ProcessId(0),
+                    PhaseKingMsg::Middle {
+                        phase: 0,
+                        inner: Arc::new(Value(999)),
+                    },
+                );
+            }
+        });
+        let honest: std::collections::BTreeMap<ProcessId, PhaseKing> = (1..n as u32)
+            .map(|i| (ProcessId(i), PhaseKing::full(ProcessId(i), n, t, Value(6))))
+            .collect();
+        let mut runner = Runner::with_ids(n, honest, adv);
+        let report = runner.run(60);
+        assert!(report.all_decided());
+        for o in report.outputs.values() {
+            assert_eq!(o.decision, Some(Value(6)));
+        }
+    }
+
+    #[test]
     fn non_king_cannot_impersonate_king() {
         // A faulty non-king broadcasts King messages; honest processes
         // only adopt from the phase's designated king.
@@ -466,9 +349,9 @@ mod tests {
                 if phase != 3 {
                     ctx.broadcast(
                         ProcessId(3),
-                        PhaseKingMsg::King {
+                        PhaseKingMsg::Middle {
                             phase,
-                            value: Value(999),
+                            inner: Arc::new(Value(999)),
                         },
                     );
                 }
@@ -499,16 +382,19 @@ mod tests {
                         .wrapping_add(ctx.round * 31 + j as u64);
                     let v = Value(x % 3);
                     let msg = match x % 4 {
-                        0 => PhaseKingMsg::Main {
+                        0 => PhaseKingMsg::First {
                             phase,
                             inner: Arc::new(UnauthGcMsg::Vote(v)),
                         },
-                        1 => PhaseKingMsg::Main {
+                        1 => PhaseKingMsg::First {
                             phase,
                             inner: Arc::new(UnauthGcMsg::Echo(v)),
                         },
-                        2 => PhaseKingMsg::King { phase, value: v },
-                        _ => PhaseKingMsg::Detect {
+                        2 => PhaseKingMsg::Middle {
+                            phase,
+                            inner: Arc::new(v),
+                        },
+                        _ => PhaseKingMsg::Second {
                             phase,
                             inner: Arc::new(UnauthGcMsg::Vote(v)),
                         },
@@ -532,7 +418,7 @@ mod tests {
             let phase = (ctx.round / 5) as u16;
             ctx.broadcast(
                 ProcessId(6),
-                PhaseKingMsg::Main {
+                PhaseKingMsg::First {
                     phase,
                     inner: Arc::new(UnauthGcMsg::Vote(Value(9))),
                 },

@@ -22,26 +22,26 @@ fn alg5_chaos(seed: u64, n: usize, k: usize) -> impl FnMut(&mut AdversaryCtx<'_,
                 let phase = ((ctx.round / 5) as u16).min(2 * k as u16);
                 let v = Value(x % 3);
                 let msg = match x % 5 {
-                    0 => Alg5Msg::GcA {
+                    0 => Alg5Msg::First {
                         phase,
                         inner: Arc::new(CoreSetGcMsg::Input(v)),
                     },
-                    1 => Alg5Msg::GcA {
+                    1 => Alg5Msg::First {
                         phase,
                         inner: Arc::new(CoreSetGcMsg::Binding(v)),
                     },
-                    2 => Alg5Msg::Conc {
+                    2 => Alg5Msg::Middle {
                         phase,
                         inner: Arc::new(ConcMsg {
                             value: v,
                             listen: vec![from, ProcessId((x % n as u64) as u32)],
                         }),
                     },
-                    3 => Alg5Msg::GcB {
+                    3 => Alg5Msg::Second {
                         phase,
                         inner: Arc::new(CoreSetGcMsg::Input(v)),
                     },
-                    _ => Alg5Msg::GcB {
+                    _ => Alg5Msg::Second {
                         phase,
                         inner: Arc::new(CoreSetGcMsg::Binding(v)),
                     },

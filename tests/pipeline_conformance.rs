@@ -493,6 +493,46 @@ fn silent_adversary_never_increases_honest_message_totals() {
 }
 
 #[test]
+fn every_pipeline_matches_its_pinned_disruptor_costs() {
+    // The bench grid runs only `Silent`, so this pins what it cannot
+    // see: the exact cost of every family against its `Disruptor`
+    // coalition at n = 13 (three head faults, 16 trusted-fault bits,
+    // split inputs, seed 0). The unauthenticated wrapper runs both
+    // Algorithm 5 (its class slots) and phase king (its early-stopping
+    // slots) here, so a drift in either phase engine or in a disruptor
+    // changes a number below.
+    let pinned: [(Pipeline, u64, u64, u64, usize); 8] = [
+        (Pipeline::Unauth, 63, 3216, 47796, 3),
+        (Pipeline::Auth, 45, 4350, 5800392, 3),
+        (Pipeline::PhaseKing, 25, 1584, 18984, 0),
+        (Pipeline::TruncatedDolevStrong, 7, 240, 68040, 0),
+        (Pipeline::CommEff, 30, 1670, 21385, 3),
+        (Pipeline::Resilient, 11, 984, 12048, 3),
+        (Pipeline::CommEffSigned, 31, 1670, 23105, 3),
+        (Pipeline::ResilientSigned, 12, 1104, 55608, 3),
+    ];
+    assert_eq!(pinned.map(|row| row.0), Pipeline::ALL);
+    for (pipeline, rounds, messages, bytes, k_a) in pinned {
+        let out = ExperimentConfig::builder()
+            .n(13)
+            .faults(3, FaultPlacement::Head)
+            .budget(16, ErrorPlacement::TrustedFaults)
+            .pipeline(pipeline)
+            .inputs(InputPattern::Split)
+            .adversary(AdversaryKind::Disruptor)
+            .seed(0)
+            .build()
+            .run();
+        assert!(out.agreement, "{pipeline:?} broke agreement");
+        assert_eq!(
+            (out.rounds, out.messages, out.bytes, out.k_a),
+            (Some(rounds), messages, bytes, k_a),
+            "{pipeline:?}: (rounds, messages, bytes, k_A)"
+        );
+    }
+}
+
+#[test]
 fn every_pipeline_reports_nonzero_communication() {
     for pipeline in Pipeline::ALL {
         let out = conformance_config(pipeline, AdversaryKind::Silent, 0).run();
