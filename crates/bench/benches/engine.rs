@@ -8,7 +8,7 @@
 
 use ba_crypto::{hmac_sha256, sha256, Pki};
 use ba_graded::UnauthGraded;
-use ba_sim::{ProcessId, Runner, SilentAdversary, Value};
+use ba_sim::{ProcessId, ReplayAdversary, Runner, SilentAdversary, Value};
 use ba_workloads::Table;
 use std::hint::black_box;
 use std::time::Instant;
@@ -101,6 +101,24 @@ fn main() {
     });
     table.row([
         "unauth_graded_consensus_n32".to_string(),
+        format!("{mean:.0}"),
+        format!("{best:.0}"),
+    ]);
+
+    // Ten of the 32 ids replay every honest envelope's payload of the
+    // previous round to all 32 processes. From round 1 on, faulty
+    // traffic is 32 times the honest traffic, so the row mostly times
+    // the runner's delivery.
+    let (mean, best) = measure(10, 20, || {
+        let (n, f) = (32, 10);
+        let procs: Vec<_> = (0..(n - f) as u32)
+            .map(|i| UnauthGraded::new(ProcessId(i), n, f, Value(u64::from(i % 2))))
+            .collect();
+        let mut runner = Runner::new(n, procs, ReplayAdversary::new(1));
+        black_box(runner.run(4))
+    });
+    table.row([
+        "runner_replay_n32".to_string(),
         format!("{mean:.0}"),
         format!("{best:.0}"),
     ]);

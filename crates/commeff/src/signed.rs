@@ -807,9 +807,7 @@ mod tests {
                 .map(|e| Arc::clone(&e.payload))
                 .collect();
             for payload in observed {
-                for to in ProcessId::all(10) {
-                    ctx.replay(ProcessId(3), to, Arc::clone(&payload));
-                }
+                ctx.replay_to_all(ProcessId(3), payload);
             }
             // Forge a submission claiming an honest signer.
             let body = SubmitBody { value: Value(99) };

@@ -835,9 +835,7 @@ mod tests {
                 .map(|e| Arc::clone(&e.payload))
                 .collect();
             for payload in observed {
-                for to in ProcessId::all(10) {
-                    ctx.replay(ProcessId(7), to, Arc::clone(&payload));
-                }
+                ctx.replay_to_all(ProcessId(7), payload);
             }
         });
         let mut runner = Runner::with_ids(n, system(n, t, &f, &m, &pki, |_| 6), adv);

@@ -13,7 +13,7 @@
 
 use crate::envelope::Envelope;
 use crate::id::ProcessId;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::sync::Arc;
 
 /// Everything the adversary can see and do in one round.
@@ -30,10 +30,21 @@ pub struct AdversaryCtx<'a, M> {
     /// Messages delivered to each corrupted process at the start of this
     /// round (i.e. sent during the previous round).
     pub faulty_inboxes: &'a BTreeMap<ProcessId, Vec<Envelope<M>>>,
-    pub(crate) outgoing: Vec<Envelope<M>>,
+    /// This round's faulty traffic, one buffer per sender identifier
+    /// (`0..n`), each in emission order.
+    pub(crate) outgoing: Vec<Vec<Envelope<M>>>,
 }
 
 impl<'a, M> AdversaryCtx<'a, M> {
+    /// The outgoing buffer of `from`, after the spoof check.
+    fn outbox(&mut self, from: ProcessId) -> &mut Vec<Envelope<M>> {
+        assert!(
+            self.corrupted.contains(&from),
+            "adversary attempted to spoof honest sender {from}"
+        );
+        &mut self.outgoing[from.index()]
+    }
+
     /// Sends `msg` from corrupted process `from` to `to`.
     ///
     /// # Panics
@@ -41,11 +52,7 @@ impl<'a, M> AdversaryCtx<'a, M> {
     /// Panics if `from` is not corrupted: the simulator enforces that the
     /// adversary cannot spoof honest senders.
     pub fn send(&mut self, from: ProcessId, to: ProcessId, msg: M) {
-        assert!(
-            self.corrupted.contains(&from),
-            "adversary attempted to spoof honest sender {from}"
-        );
-        self.outgoing.push(Envelope::new(from, to, msg));
+        self.outbox(from).push(Envelope::new(from, to, msg));
     }
 
     /// Sends `msg` from corrupted `from` to every process.
@@ -53,28 +60,30 @@ impl<'a, M> AdversaryCtx<'a, M> {
     where
         M: Clone,
     {
-        assert!(
-            self.corrupted.contains(&from),
-            "adversary attempted to spoof honest sender {from}"
-        );
-        let payload = Arc::new(msg);
-        for to in ProcessId::all(self.n) {
-            self.outgoing.push(Envelope {
-                from,
-                to,
-                payload: Arc::clone(&payload),
-            });
-        }
+        self.replay_to_all(from, Arc::new(msg));
     }
 
     /// Re-sends an observed payload (e.g. an honest message body) from a
     /// corrupted identity — the strongest replay the model permits.
     pub fn replay(&mut self, from: ProcessId, to: ProcessId, payload: Arc<M>) {
-        assert!(
-            self.corrupted.contains(&from),
-            "adversary attempted to spoof honest sender {from}"
-        );
-        self.outgoing.push(Envelope { from, to, payload });
+        self.outbox(from).push(Envelope { from, to, payload });
+    }
+
+    /// Re-sends an observed payload from corrupted `from` to every
+    /// process, in identifier order: [`replay`](Self::replay) to each
+    /// recipient, with the spoof check made once.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `from` is not corrupted.
+    pub fn replay_to_all(&mut self, from: ProcessId, payload: Arc<M>) {
+        let n = self.n;
+        self.outbox(from)
+            .extend(ProcessId::all(n).map(|to| Envelope {
+                from,
+                to,
+                payload: Arc::clone(&payload),
+            }));
     }
 }
 
@@ -138,7 +147,9 @@ impl<M, A: Adversary<M>> Adversary<M> for CrashAdversary<A> {
         self.inner.act(ctx);
         if ctx.round == self.crash_round {
             let cutoff = self.partial_cutoff;
-            ctx.outgoing.retain(|e| e.to.0 < cutoff);
+            for sent in &mut ctx.outgoing {
+                sent.retain(|e| e.to.0 < cutoff);
+            }
         }
     }
 }
@@ -169,10 +180,14 @@ where
 /// identities, to every process, shifted by `delay` rounds. Exercises
 /// protocols' session/round tagging: correctly-tagged protocols must treat
 /// replayed traffic as noise.
+///
+/// The `k`-th payload observed in round `r` is replayed in round
+/// `r + delay` from the `k mod f`-th corrupted identity. Only the last
+/// `delay + 1` rounds of observations are ever held.
 #[derive(Debug)]
 pub struct ReplayAdversary<M> {
     delay: usize,
-    history: Vec<Vec<Arc<M>>>,
+    history: VecDeque<Vec<Arc<M>>>,
 }
 
 impl<M> ReplayAdversary<M> {
@@ -181,7 +196,7 @@ impl<M> ReplayAdversary<M> {
         assert!(delay >= 1, "replay delay must be at least one round");
         ReplayAdversary {
             delay,
-            history: Vec::new(),
+            history: VecDeque::new(),
         }
     }
 }
@@ -193,21 +208,26 @@ impl<M: Clone> Adversary<M> for ReplayAdversary<M> {
             .iter()
             .map(|e| Arc::clone(&e.payload))
             .collect();
-        self.history.push(observed);
-        let idx = match self.history.len().checked_sub(self.delay + 1) {
-            Some(i) => i,
-            None => return,
-        };
-        let stale: Vec<Arc<M>> = self.history[idx].clone();
+        self.history.push_back(observed);
+        if self.history.len() <= self.delay {
+            return;
+        }
+        let stale = self
+            .history
+            .pop_front()
+            .expect("history holds delay + 1 rounds");
         let faulty: Vec<ProcessId> = ctx.corrupted.iter().copied().collect();
         if faulty.is_empty() {
             return;
         }
+        let f = faulty.len();
+        for (j, from) in faulty.iter().enumerate() {
+            // Payloads `k ≡ j (mod f)` go out from `from`.
+            let payloads = stale.len().saturating_sub(j).div_ceil(f);
+            ctx.outgoing[from.index()].reserve(payloads * ctx.n);
+        }
         for (k, payload) in stale.into_iter().enumerate() {
-            let from = faulty[k % faulty.len()];
-            for to in ProcessId::all(ctx.n) {
-                ctx.replay(from, to, Arc::clone(&payload));
-            }
+            ctx.replay_to_all(faulty[k % f], payload);
         }
     }
 }
@@ -227,8 +247,13 @@ mod tests {
             corrupted,
             honest_traffic: honest,
             faulty_inboxes: inboxes,
-            outgoing: Vec::new(),
+            outgoing: (0..4).map(|_| Vec::new()).collect(),
         }
+    }
+
+    /// The context's faulty traffic, sender by sender.
+    fn sent<'c>(ctx: &'c AdversaryCtx<'_, u32>) -> Vec<&'c Envelope<u32>> {
+        ctx.outgoing.iter().flatten().collect()
     }
 
     #[test]
@@ -237,7 +262,7 @@ mod tests {
         let inboxes = BTreeMap::new();
         let mut ctx = ctx_fixture(&corrupted, &[], &inboxes);
         ctx.send(ProcessId(3), ProcessId(0), 99);
-        assert_eq!(ctx.outgoing.len(), 1);
+        assert_eq!(sent(&ctx).len(), 1);
     }
 
     #[test]
@@ -260,8 +285,8 @@ mod tests {
         let mut ctx = ctx_fixture(&corrupted, &[], &inboxes);
         crash.act(&mut ctx);
         // Broadcast to n=4, truncated to recipients {0, 1}.
-        assert_eq!(ctx.outgoing.len(), 2);
-        assert!(ctx.outgoing.iter().all(|e| e.to.0 < 2));
+        assert_eq!(sent(&ctx).len(), 2);
+        assert!(sent(&ctx).iter().all(|e| e.to.0 < 2));
     }
 
     #[test]
@@ -275,7 +300,7 @@ mod tests {
         let mut ctx = ctx_fixture(&corrupted, &[], &inboxes);
         ctx.round = 3;
         crash.act(&mut ctx);
-        assert!(ctx.outgoing.is_empty());
+        assert!(sent(&ctx).is_empty());
     }
 
     #[test]
@@ -288,13 +313,70 @@ mod tests {
         let mut ctx0 = ctx_fixture(&corrupted, &honest_r0, &inboxes);
         ctx0.round = 0;
         replayer.act(&mut ctx0);
-        assert!(ctx0.outgoing.is_empty(), "nothing old to replay yet");
+        assert!(sent(&ctx0).is_empty(), "nothing old to replay yet");
 
         let mut ctx1 = ctx_fixture(&corrupted, &[], &inboxes);
         ctx1.round = 1;
         replayer.act(&mut ctx1);
-        assert_eq!(ctx1.outgoing.len(), 4, "payload replayed to all n = 4");
-        assert!(ctx1.outgoing.iter().all(|e| *e.payload == 77));
-        assert!(ctx1.outgoing.iter().all(|e| e.from == ProcessId(3)));
+        assert_eq!(sent(&ctx1).len(), 4, "payload replayed to all n = 4");
+        assert!(sent(&ctx1).iter().all(|e| *e.payload == 77));
+        assert!(sent(&ctx1).iter().all(|e| e.from == ProcessId(3)));
+    }
+
+    #[test]
+    fn replay_to_all_sends_one_envelope_per_recipient() {
+        let corrupted: BTreeSet<ProcessId> = [ProcessId(3)].into_iter().collect();
+        let inboxes = BTreeMap::new();
+        let mut ctx = ctx_fixture(&corrupted, &[], &inboxes);
+        let payload = Arc::new(8u32);
+        ctx.replay_to_all(ProcessId(3), Arc::clone(&payload));
+        let to: Vec<u32> = sent(&ctx).iter().map(|e| e.to.0).collect();
+        assert_eq!(to, vec![0, 1, 2, 3]);
+        assert!(sent(&ctx).iter().all(|e| e.from == ProcessId(3)));
+        assert!(sent(&ctx).iter().all(|e| Arc::ptr_eq(&e.payload, &payload)));
+    }
+
+    #[test]
+    #[should_panic(expected = "spoof")]
+    fn replay_to_all_from_an_honest_sender_panics() {
+        let corrupted: BTreeSet<ProcessId> = [ProcessId(3)].into_iter().collect();
+        let inboxes = BTreeMap::new();
+        let mut ctx = ctx_fixture(&corrupted, &[], &inboxes);
+        ctx.replay_to_all(ProcessId(0), Arc::new(1));
+    }
+
+    #[test]
+    fn replay_with_delay_two_resends_the_right_round_and_forgets_older_ones() {
+        let corrupted: BTreeSet<ProcessId> = [ProcessId(2), ProcessId(3)].into_iter().collect();
+        let inboxes = BTreeMap::new();
+        let mut replayer: ReplayAdversary<u32> = ReplayAdversary::new(2);
+        for round in 0..8u32 {
+            // Round r's honest traffic carries payloads 10r, 10r + 1 and
+            // 10r + 2.
+            let honest: Vec<Envelope<u32>> = (0..3)
+                .map(|k| Envelope::new(ProcessId(k), ProcessId(1), 10 * round + k))
+                .collect();
+            let mut ctx = ctx_fixture(&corrupted, &honest, &inboxes);
+            ctx.round = u64::from(round);
+            replayer.act(&mut ctx);
+            assert_eq!(replayer.history.len(), (round as usize + 1).min(2));
+            let replayed: Vec<(u32, u32, u32)> = sent(&ctx)
+                .iter()
+                .map(|e| (e.from.0, e.to.0, *e.payload))
+                .collect();
+            if round < 2 {
+                assert!(replayed.is_empty(), "nothing two rounds old yet");
+                continue;
+            }
+            // Payload k of round r − 2 goes from corrupted id k mod 2 (p2
+            // sends payloads 0 and 2, in that order; p3 payload 1) to all
+            // n = 4 processes.
+            let old = 10 * (round - 2);
+            let expected: Vec<(u32, u32, u32)> = [(2, 0), (2, 2), (3, 1)]
+                .into_iter()
+                .flat_map(|(from, k)| (0..4).map(move |to| (from, to, old + k)))
+                .collect();
+            assert_eq!(replayed, expected, "round {round}");
+        }
     }
 }

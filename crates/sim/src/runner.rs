@@ -23,29 +23,68 @@ pub struct RoundTrace {
 }
 
 /// Sums the remote envelopes of one sender's traffic as `(messages,
-/// bytes)`, memoizing sizes per shared payload so a broadcast's body is
+/// bytes)`. A broadcast shares one payload across consecutive envelopes,
+/// so the size of the last payload measured is reused while the next
+/// envelope points at the same allocation: a broadcast's body is
 /// measured once rather than once per recipient.
 fn remote_cost<M: WireSize>(envs: &[Envelope<M>]) -> (u64, u64) {
     let mut messages = 0;
     let mut bytes = 0;
-    let mut sizes: Vec<(*const M, u64)> = Vec::new();
+    let mut last: Option<(*const M, u64)> = None;
     for env in envs {
         if env.to == env.from {
             continue;
         }
         messages += 1;
         let key = Arc::as_ptr(&env.payload);
-        let size = match sizes.iter().find(|(k, _)| *k == key) {
-            Some((_, s)) => *s,
-            None => {
+        let size = match last {
+            Some((k, s)) if k == key => s,
+            _ => {
                 let s = env.payload.wire_bytes();
-                sizes.push((key, s));
+                last = Some((key, s));
                 s
             }
         };
         bytes += size;
     }
     (messages, bytes)
+}
+
+/// Routes one round's traffic into the next step's inboxes, one per
+/// identifier `0..n`, in sender order and stable within a sender.
+///
+/// This is a counting sort whose buckets already exist: `honest` is in
+/// step order, hence sorted by sender, and `faulty` holds one buffer per
+/// sender in emission order. One pass counts envelopes per recipient so
+/// every inbox is reserved to its exact size, and a second drains each
+/// sender's honest run, then its faulty buffer, into the inboxes. All
+/// buffers keep their allocations for later rounds. Envelopes
+/// addressed to an identifier `≥ n` are dropped.
+fn deliver<M>(
+    inboxes: &mut [Vec<Envelope<M>>],
+    honest: &mut Vec<Envelope<M>>,
+    faulty: &mut [Vec<Envelope<M>>],
+) {
+    debug_assert!(honest.is_sorted_by_key(|e| e.from));
+    let mut per_recipient = vec![0usize; inboxes.len()];
+    for env in honest.iter().chain(faulty.iter().flatten()) {
+        if let Some(count) = per_recipient.get_mut(env.to.index()) {
+            *count += 1;
+        }
+    }
+    for (inbox, count) in inboxes.iter_mut().zip(per_recipient) {
+        inbox.clear();
+        inbox.reserve_exact(count);
+    }
+    let mut honest = honest.drain(..).peekable();
+    for (sender, sent) in faulty.iter_mut().enumerate() {
+        let honest_run = std::iter::from_fn(|| honest.next_if(|e| e.from.index() == sender));
+        for env in honest_run.chain(sent.drain(..)) {
+            if let Some(inbox) = inboxes.get_mut(env.to.index()) {
+                inbox.push(env);
+            }
+        }
+    }
 }
 
 /// The outcome and cost profile of one synchronous execution.
@@ -116,14 +155,29 @@ impl<O: Clone + Eq> RunReport<O> {
 ///
 /// Honest processes are stepped in identifier order; the adversary then
 /// acts with full visibility of the round's honest traffic (rushing).
-/// All round-`r` traffic is delivered, sorted by sender, as the step-`r+1`
-/// inboxes.
+///
+/// All round-`r` traffic is delivered as the step-`r+1` inboxes, and
+/// every inbox obeys one order contract: it is sorted by sender, and
+/// within one sender the envelopes keep the order they were sent in
+/// (an honest process's outbox order, or the adversary's emission
+/// order). Mail left undelivered to a halted process is discarded at
+/// the end of the round, never carried into a later one. An adversary
+/// envelope addressed to an identifier `≥ n` is charged to the round's
+/// faulty messages and bytes and then dropped: it reaches nobody.
 pub struct Runner<P: Process, A> {
     n: usize,
     honest: BTreeMap<ProcessId, P>,
     adversary: A,
     corrupted: BTreeSet<ProcessId>,
-    inboxes: BTreeMap<ProcessId, Vec<Envelope<P::Msg>>>,
+    /// Next step's inbox of every identifier, indexed by
+    /// [`ProcessId::index`].
+    inboxes: Vec<Vec<Envelope<P::Msg>>>,
+    /// This round's honest traffic, in step order.
+    honest_traffic: Vec<Envelope<P::Msg>>,
+    /// This round's faulty traffic, one buffer per sender identifier.
+    /// Like the inboxes, these buffers are emptied by delivery and keep
+    /// their allocations for later rounds.
+    faulty_traffic: Vec<Vec<Envelope<P::Msg>>>,
     round: u64,
     report: RunReport<P::Output>,
 }
@@ -179,7 +233,9 @@ where
             honest,
             adversary,
             corrupted,
-            inboxes: BTreeMap::new(),
+            inboxes: (0..n).map(|_| Vec::new()).collect(),
+            honest_traffic: Vec::new(),
+            faulty_traffic: (0..n).map(|_| Vec::new()).collect(),
             round: 0,
             report: RunReport {
                 honest_count,
@@ -207,21 +263,21 @@ where
     pub fn step(&mut self) -> bool {
         let round = self.round;
         let mut trace = RoundTrace::default();
-        let mut honest_traffic: Vec<Envelope<P::Msg>> = Vec::new();
 
         for (&id, proc) in self.honest.iter_mut() {
             if proc.halted() {
                 continue;
             }
-            let inbox = self.inboxes.remove(&id).unwrap_or_default();
+            let inbox = &mut self.inboxes[id.index()];
             let mut out = Outbox::new(id, self.n);
-            proc.step(round, &inbox, &mut out);
+            proc.step(round, inbox, &mut out);
+            inbox.clear();
             let envs = out.into_envelopes();
             let (remote, bytes) = remote_cost(&envs);
             trace.honest_messages += remote;
             trace.honest_bytes += bytes;
             *self.report.messages_per_process.entry(id).or_insert(0) += remote;
-            honest_traffic.extend(envs);
+            self.honest_traffic.extend(envs);
 
             if let Some(o) = proc.output() {
                 self.report.outputs.entry(id).or_insert(o);
@@ -233,21 +289,27 @@ where
         let faulty_inboxes: BTreeMap<ProcessId, Vec<Envelope<P::Msg>>> = self
             .corrupted
             .iter()
-            .map(|&id| (id, self.inboxes.remove(&id).unwrap_or_default()))
+            .map(|&id| (id, std::mem::take(&mut self.inboxes[id.index()])))
             .collect();
         let mut ctx = AdversaryCtx {
             round,
             n: self.n,
             corrupted: &self.corrupted,
-            honest_traffic: &honest_traffic,
+            honest_traffic: &self.honest_traffic,
             faulty_inboxes: &faulty_inboxes,
-            outgoing: Vec::new(),
+            outgoing: std::mem::take(&mut self.faulty_traffic),
         };
         self.adversary.act(&mut ctx);
-        let faulty_traffic = ctx.outgoing;
-        let (faulty_messages, faulty_bytes) = remote_cost(&faulty_traffic);
-        trace.faulty_messages += faulty_messages;
-        trace.faulty_bytes += faulty_bytes;
+        self.faulty_traffic = ctx.outgoing;
+        // Hand the buffers back: delivery clears and refills them.
+        for (id, inbox) in faulty_inboxes {
+            self.inboxes[id.index()] = inbox;
+        }
+        for sent in &self.faulty_traffic {
+            let (messages, bytes) = remote_cost(sent);
+            trace.faulty_messages += messages;
+            trace.faulty_bytes += bytes;
+        }
 
         self.report.honest_messages += trace.honest_messages;
         self.report.honest_bytes += trace.honest_bytes;
@@ -256,15 +318,11 @@ where
             self.report.honest_bytes_until_decision = self.report.honest_bytes;
         }
 
-        // Route all round-`round` traffic into step-`round+1` inboxes,
-        // sorted by sender (stable within one sender).
-        let mut all = honest_traffic;
-        all.extend(faulty_traffic);
-        all.sort_by_key(|e| e.from);
-        self.inboxes.clear();
-        for env in all {
-            self.inboxes.entry(env.to).or_default().push(env);
-        }
+        deliver(
+            &mut self.inboxes,
+            &mut self.honest_traffic,
+            &mut self.faulty_traffic,
+        );
 
         self.report.rounds.push(trace);
         self.round += 1;
@@ -310,6 +368,8 @@ mod tests {
     use super::*;
     use crate::adversary::{FnAdversary, SilentAdversary};
     use crate::id::Value;
+    use std::cell::{Cell, RefCell};
+    use std::rc::Rc;
 
     /// Echo-min protocol used across runner tests: broadcast once, then
     /// output the minimum value heard.
@@ -496,6 +556,135 @@ mod tests {
         let report = runner.run(10);
         assert_eq!(report.decision_round.len(), 3);
         assert!(report.decision_round.values().all(|&r| r == 1));
+    }
+
+    #[test]
+    fn remote_cost_charges_each_envelope_its_own_payload() {
+        // Interleaved shared payloads A, B, A, A and a self-copy of C:
+        // a size memo keyed on the previous envelope must re-measure A
+        // after B, and the self-copy is neither a message nor bytes.
+        let a = Arc::new("aaaaaaaa".to_string());
+        let b = Arc::new("b".to_string());
+        let c = Arc::new("c".repeat(100));
+        let env = |to: u32, payload: &Arc<String>| Envelope {
+            from: ProcessId(0),
+            to: ProcessId(to),
+            payload: Arc::clone(payload),
+        };
+        let envs = [env(1, &a), env(2, &b), env(3, &a), env(0, &c), env(4, &a)];
+        assert_eq!((a.wire_bytes(), b.wire_bytes()), (12, 5));
+        assert_eq!(remote_cost(&envs), (4, 3 * 12 + 5));
+        assert_eq!(remote_cost(&envs[3..4]), (0, 0));
+    }
+
+    /// One inbox as `(sender, payload)` pairs.
+    type Mail = Vec<(u32, u64)>;
+
+    /// Records every inbox as `(sender, payload)` pairs and broadcasts
+    /// two tagged values per round. A sleeper reports itself halted at
+    /// the start of rounds 2 and 3 (the shared clock holds the previous
+    /// round's number).
+    struct Recorder {
+        me: ProcessId,
+        clock: Rc<Cell<u64>>,
+        sleeper: bool,
+        log: Vec<(u64, Mail)>,
+    }
+
+    impl Process for Recorder {
+        type Msg = Value;
+        type Output = Value;
+        fn step(&mut self, round: u64, inbox: &[Envelope<Value>], out: &mut Outbox<Value>) {
+            let seen = inbox.iter().map(|e| (e.from.0, e.payload.0)).collect();
+            self.log.push((round, seen));
+            let tag = 1000 * round + 10 * u64::from(self.me.0);
+            out.broadcast(Value(tag));
+            out.broadcast(Value(tag + 1));
+        }
+        fn output(&self) -> Option<Value> {
+            None
+        }
+        fn halted(&self) -> bool {
+            self.sleeper && (1..=2).contains(&self.clock.get())
+        }
+    }
+
+    #[test]
+    fn inboxes_are_sorted_by_sender_and_stable_within_a_sender() {
+        let n = 6;
+        let clock = Rc::new(Cell::new(0));
+        let honest: BTreeMap<ProcessId, Recorder> = [0, 2, 5]
+            .into_iter()
+            .map(|i| {
+                let recorder = Recorder {
+                    me: ProcessId(i),
+                    clock: Rc::clone(&clock),
+                    sleeper: i == 2,
+                    log: Vec::new(),
+                };
+                (ProcessId(i), recorder)
+            })
+            .collect();
+        let faulty_seen: Rc<RefCell<Vec<Mail>>> = Rc::default();
+        let seen = Rc::clone(&faulty_seen);
+        let ticks = Rc::clone(&clock);
+        // The coalition {1, 3, 4} emits out of sender order, plus one
+        // envelope to an identifier beyond the system.
+        let adv = FnAdversary::new(move |ctx: &mut AdversaryCtx<'_, Value>| {
+            let inbox = &ctx.faulty_inboxes[&ProcessId(3)];
+            seen.borrow_mut()
+                .push(inbox.iter().map(|e| (e.from.0, e.payload.0)).collect());
+            let tag = 1000 * ctx.round;
+            ctx.broadcast(ProcessId(4), Value(tag + 40));
+            ctx.broadcast(ProcessId(3), Value(tag + 30));
+            ctx.broadcast(ProcessId(4), Value(tag + 41));
+            ctx.broadcast(ProcessId(1), Value(tag + 10));
+            ctx.send(ProcessId(3), ProcessId(n as u32 + 5), Value(tag + 99));
+            ticks.set(ctx.round);
+        });
+        let mut runner = Runner::with_ids(n, honest, adv);
+        for _ in 0..6 {
+            assert!(runner.step());
+        }
+
+        // Everything sent in `round`, in the order of the contract.
+        let sent_in = |round: u64| -> Mail {
+            let tag = 1000 * round;
+            let asleep = (2..=3).contains(&round);
+            let mut mail = vec![(0, tag), (0, tag + 1), (1, tag + 10)];
+            if !asleep {
+                mail.extend([(2, tag + 20), (2, tag + 21)]);
+            }
+            mail.extend([(3, tag + 30), (4, tag + 40), (4, tag + 41)]);
+            mail.extend([(5, tag + 50), (5, tag + 51)]);
+            mail
+        };
+        for id in [0, 5] {
+            let log = &runner.process(ProcessId(id)).expect("honest").log;
+            assert_eq!(log.len(), 6);
+            assert!(log[0].1.is_empty());
+            for (round, inbox) in &log[1..] {
+                assert_eq!(inbox, &sent_in(round - 1), "p{id}'s round-{round} inbox");
+            }
+        }
+        // The sleeper steps in rounds 0, 1, 4 and 5 only; what was sent
+        // to it while it slept never reaches it.
+        let log = &runner.process(ProcessId(2)).expect("honest").log;
+        let rounds: Vec<u64> = log.iter().map(|(r, _)| *r).collect();
+        assert_eq!(rounds, vec![0, 1, 4, 5]);
+        assert_eq!(log[2].1, sent_in(3));
+        assert_eq!(log[3].1, sent_in(4));
+        // Corrupted processes' inboxes follow the same contract.
+        let faulty_seen = faulty_seen.borrow();
+        assert!(faulty_seen[0].is_empty());
+        for (round, inbox) in faulty_seen.iter().enumerate().skip(1) {
+            assert_eq!(inbox, &sent_in(round as u64 - 1));
+        }
+        // Four broadcasts with 5 remote copies each, plus the envelope
+        // to p11: charged as faulty traffic, delivered to nobody.
+        for trace in &runner.report().rounds {
+            assert_eq!((trace.faulty_messages, trace.faulty_bytes), (21, 21 * 8));
+        }
     }
 
     #[test]

@@ -271,9 +271,7 @@ impl Adversary<CommEffSignedMsg> for SignedCertEquivocator {
                         .map(|e| Arc::clone(&e.payload))
                         .collect();
                     for payload in observed {
-                        for to in ProcessId::all(self.n) {
-                            ctx.replay(from, to, Arc::clone(&payload));
-                        }
+                        ctx.replay_to_all(from, payload);
                     }
                 }
             }

@@ -8,6 +8,7 @@
 //! (a staircase in `B`, never a lane cliff) with quadratic-shaped
 //! communication above the Civit et al. floor.
 
+use ba_predictions::ba_sim::RoundTrace;
 use ba_predictions::prelude::*;
 
 const SEEDS: std::ops::Range<u64> = 0..5;
@@ -528,6 +529,44 @@ fn every_pipeline_matches_its_pinned_disruptor_costs() {
             (out.rounds, out.messages, out.bytes, out.k_a),
             (Some(rounds), messages, bytes, k_a),
             "{pipeline:?}: (rounds, messages, bytes, k_A)"
+        );
+    }
+}
+
+#[test]
+fn replay_pipelines_match_their_pinned_faulty_traffic() {
+    // `ExperimentOutcome` carries honest counts only, so this pins the
+    // faulty side of the two families whose `Disruptor` is the replay
+    // coalition: the exact faulty messages and bytes summed over
+    // `RunReport::rounds` (same n = 13 set-up as the pinned honest
+    // costs above).
+    let (n, seed) = (13, 0);
+    let faulty = faults(n, 3, FaultPlacement::Head);
+    let matrix = predictions_with_budget(n, &faulty, 16, ErrorPlacement::TrustedFaults, seed);
+    let pinned: [(Pipeline, u64, u64); 2] = [
+        (Pipeline::PhaseKing, 20592, 246792),
+        (Pipeline::CommEff, 21696, 277872),
+    ];
+    for (pipeline, messages, bytes) in pinned {
+        let family = pipeline.driver();
+        let t = family.max_faults(n);
+        let spec = SessionSpec {
+            n,
+            t,
+            faulty: &faulty,
+            matrix: &matrix,
+            inputs: InputPattern::Split,
+            adversary: AdversaryKind::Disruptor,
+            seed,
+        };
+        let report = family.build(&spec).run(family.max_rounds(n, t));
+        assert!(report.agreement(), "{pipeline:?} broke agreement");
+        let sum = |f: fn(&RoundTrace) -> u64| report.rounds.iter().map(f).sum::<u64>();
+        let faulty_traffic = (sum(|r| r.faulty_messages), sum(|r| r.faulty_bytes));
+        assert_eq!(
+            faulty_traffic,
+            (messages, bytes),
+            "{pipeline:?}: (faulty messages, faulty bytes)"
         );
     }
 }
