@@ -116,20 +116,6 @@ impl BitVec {
         self.words.iter().map(|w| w.count_ones() as usize).sum()
     }
 
-    /// Hamming distance to another vector of the same length.
-    ///
-    /// # Panics
-    ///
-    /// Panics if lengths differ.
-    pub fn hamming(&self, other: &BitVec) -> usize {
-        assert_eq!(self.len, other.len, "length mismatch");
-        self.words
-            .iter()
-            .zip(&other.words)
-            .map(|(a, b)| (a ^ b).count_ones() as usize)
-            .sum()
-    }
-
     /// Iterates over the bits.
     pub fn iter(&self) -> impl Iterator<Item = bool> + '_ {
         (0..self.len).map(|i| self.get(i))
@@ -153,7 +139,6 @@ mod tests {
     fn tail_masking_keeps_count_exact() {
         let o = BitVec::ones(65);
         assert_eq!(o.count_ones(), 65);
-        assert_eq!(o.hamming(&BitVec::zeros(65)), 65);
     }
 
     #[test]
@@ -172,14 +157,6 @@ mod tests {
         let v = BitVec::from_bools(&bits);
         let back: Vec<bool> = v.iter().collect();
         assert_eq!(back, bits);
-    }
-
-    #[test]
-    fn hamming_distance() {
-        let a = BitVec::from_bools(&[true, true, false, false]);
-        let b = BitVec::from_bools(&[true, false, true, false]);
-        assert_eq!(a.hamming(&b), 2);
-        assert_eq!(a.hamming(&a), 0);
     }
 
     #[test]

@@ -168,6 +168,29 @@ impl AuthGraded {
         }
     }
 
+    /// Routes `inbox`, then broadcasts in one message what `make` yields
+    /// for each instance, in instance order — nothing if it yields
+    /// nothing.
+    fn batch<I: IntoIterator<Item = GcastItem>>(
+        &mut self,
+        inbox: &[Envelope<AuthGcMsg>],
+        out: &mut Outbox<AuthGcMsg>,
+        mut make: impl FnMut(&mut GcastInstance, &SigningKey) -> I,
+    ) {
+        self.route_inbox(inbox);
+        let mut items = Vec::new();
+        for (i, instance) in self.instances.iter_mut().enumerate() {
+            items.extend(
+                make(instance, &self.key)
+                    .into_iter()
+                    .map(|item| (i as u32, item)),
+            );
+        }
+        if !items.is_empty() {
+            out.broadcast(AuthGcMsg { items });
+        }
+    }
+
     fn finalize(&mut self) {
         let q = self.n - self.t;
         let mut strong: Tally<Value> = Tally::new();
@@ -207,59 +230,15 @@ impl Process for AuthGraded {
                     items: vec![(self.me.0, item)],
                 });
             }
-            1 => {
-                // Round 2: echo every instance's unique value.
-                self.route_inbox(inbox);
-                let mut items = Vec::new();
-                for (i, instance) in self.instances.iter().enumerate() {
-                    if let Some(echo) = instance.make_echo(&self.key) {
-                        items.push((i as u32, echo));
-                    }
-                }
-                if !items.is_empty() {
-                    out.broadcast(AuthGcMsg { items });
-                }
-            }
-            2 => {
-                // Round 3: broadcast assembled certificates.
-                self.route_inbox(inbox);
-                let mut items = Vec::new();
-                for (i, instance) in self.instances.iter_mut().enumerate() {
-                    for cert in instance.make_certs() {
-                        items.push((i as u32, cert));
-                    }
-                }
-                if !items.is_empty() {
-                    out.broadcast(AuthGcMsg { items });
-                }
-            }
-            3 => {
-                // Round 4: confirm unique certified values (or report
-                // conflicts).
-                self.route_inbox(inbox);
-                let mut items = Vec::new();
-                for (i, instance) in self.instances.iter_mut().enumerate() {
-                    for item in instance.make_confirm(&self.key) {
-                        items.push((i as u32, item));
-                    }
-                }
-                if !items.is_empty() {
-                    out.broadcast(AuthGcMsg { items });
-                }
-            }
-            4 => {
-                // Round 5: spread commit certificates and known certs.
-                self.route_inbox(inbox);
-                let mut items = Vec::new();
-                for (i, instance) in self.instances.iter_mut().enumerate() {
-                    for item in instance.make_spread() {
-                        items.push((i as u32, item));
-                    }
-                }
-                if !items.is_empty() {
-                    out.broadcast(AuthGcMsg { items });
-                }
-            }
+            // Round 2: echo every instance's unique value.
+            1 => self.batch(inbox, out, |instance, key| instance.make_echo(key)),
+            // Round 3: broadcast assembled certificates.
+            2 => self.batch(inbox, out, |instance, _| instance.make_certs()),
+            // Round 4: confirm unique certified values (or report
+            // conflicts).
+            3 => self.batch(inbox, out, |instance, key| instance.make_confirm(key)),
+            // Round 5: spread commit certificates and known certs.
+            4 => self.batch(inbox, out, |instance, _| instance.make_spread()),
             5 => {
                 self.route_inbox(inbox);
                 self.finalize();

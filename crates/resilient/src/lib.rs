@@ -12,52 +12,47 @@
 //! realized prediction error — instead of cliff-switching.
 //!
 //! This crate reproduces that trade-off in the repository's execution
-//! model (`t < n/3`, no signatures) by making predictions steer *who
-//! leads*, not *which protocol runs*:
+//! model (`t < n/3`) by making predictions steer *who leads*, not
+//! *which protocol runs*. One state machine, [`Resilient`], runs it over
+//! a classification [`Exchange`]:
 //!
-//! 1. **Classification exchange** (1 round): every process broadcasts
-//!    its `n`-bit prediction string and aggregates the strings it
-//!    receives into a per-identifier *suspicion score* — the number of
-//!    peers predicting that identifier faulty.
+//! 1. **Classification exchange**: every process broadcasts its `n`-bit
+//!    prediction string and aggregates the strings it accepts into a
+//!    per-identifier *suspicion score* — the number of peers predicting
+//!    that identifier faulty.
 //! 2. **Trust-ordered phase king** (5 rounds per phase): a standard
 //!    early-stopping phase-king agreement ([`ba_early::PhaseKing`])
-//!    whose throne order is the suspicion order, most-trusted first
-//!    ([`king_schedule`]). Accurate predictions put an honest king on
-//!    the throne in phase 0; every faulty identifier the error budget
-//!    `B` manages to promote above the first honest one costs exactly
-//!    one extra (stalled) phase. The round count is thus a staircase in
-//!    `B` with unit steps — no fast lane, no cliff — and it can never
-//!    exceed the prediction-free baseline by more than the schedule
-//!    constant, because at most `f` faulty identifiers exist to be
-//!    promoted.
+//!    whose throne order is the suspicion order, most-trusted first.
+//!    Accurate predictions put an honest king on the throne in phase 0;
+//!    every faulty identifier the error budget `B` manages to promote
+//!    above the first honest one costs exactly one extra (stalled)
+//!    phase. The round count is thus a staircase in `B` with unit steps
+//!    — no fast lane, no cliff.
 //!
 //! Safety never depends on the predictions: deciding requires a grade-2
 //! detect consensus exactly as in the baseline, so arbitrarily wrong
-//! (or arbitrarily adversarial) hints can only cost rounds. Liveness
-//! holds unconditionally too: the king schedule ends with a `t + 2`
-//! phase suffix in plain identifier rotation, so even if Byzantine
-//! classifications split the honest processes' suspicion views (they
-//! are broadcast unauthenticated), every honest process eventually
-//! crowns the same honest king.
+//! (or arbitrarily adversarial) hints can only cost rounds. The two
+//! exchanges differ only in how liveness survives Byzantine
+//! classifications:
 //!
-//! The worst-case budget is `2t + 3` phases — the `t + 1` suspicion-
-//! ordered slots plus the unconditional suffix — i.e. within a small
-//! constant factor of the baseline's `t + 2`, which is the resilience
-//! contract: *graceful* gains when the predictions help, bounded loss
-//! when they are garbage.
+//! | alias | exchange | rounds | throne order | phase budget |
+//! |---|---|---|---|---|
+//! | [`ResilientBa`] | [`PlainExchange`]: raw strings, first per sender | 1 | [`king_schedule`]: `t + 1` trust slots + `t + 2` rotation suffix | `2t + 3` |
+//! | [`ResilientSigned`] | [`SignedExchange`]: signed strings, echoed, `≥ t + 1` carriers, equivocators convicted | 2 | [`signed_king_schedule`]: `t + 2` trust slots | `t + 2` |
 //!
-//! The suffix is insurance against *classification equivocation* (the
-//! schedule split is pinned by
-//! `equivocated_classifications_split_the_unsigned_schedules`); the
-//! [`signed`] variant ([`ResilientSigned`]) replaces the insurance with
-//! signed, echoed classifications whose equivocators are convicted by
-//! their own signatures — shrinking the budget to `t + 2` phases with
-//! no suffix at all.
+//! Unsigned strings can be equivocated per recipient, splitting the
+//! honest suspicion views (pinned by
+//! `equivocated_classifications_split_the_unsigned_schedules`), so the
+//! plain schedule pays an unconditional identifier-rotation suffix that
+//! eventually crowns a common honest king. The [`signed`] exchange makes
+//! the views agree instead — equivocators are convicted by their own
+//! signatures — and drops the suffix.
 
 pub mod signed;
 
 pub use signed::{
-    signed_king_schedule, ResilientSigned, ResilientSignedMsg, SignedResilientDisruptor,
+    signed_king_schedule, ResilientSigned, ResilientSignedMsg, SignedExchange,
+    SignedResilientDisruptor,
 };
 
 use ba_core::BitVec;
@@ -67,42 +62,87 @@ use ba_sim::{
     step_sub, Adversary, AdversaryCtx, Envelope, Outbox, Process, ProcessId, Value, WireSize,
 };
 use std::collections::BTreeMap;
+use std::fmt::Debug;
 use std::sync::Arc;
 
-/// Messages of the resilient pipeline. The classification exchange is
-/// bound to round 0 and phase-king traffic carries its own phase tags,
-/// so replayed messages are inert.
+/// The classification exchange a [`Resilient`] machine runs before its
+/// king tail: everything the unsigned and the signed pipelines do
+/// differently.
+pub trait Exchange: Clone + Debug {
+    /// The classification one process ships in round 0.
+    type Payload: Clone + Debug + PartialEq + WireSize;
+    /// What sealing a payload as one identity's own takes: the identity
+    /// itself (unsigned) or its signing key (signed).
+    type Seal;
+
+    /// Rounds before the king tail starts. Round 0 classifies; each
+    /// further exchange round echoes the classifications that opened.
+    const ROUNDS: u64;
+
+    /// Worst-case phase budget of the king tail.
+    fn phases(t: usize) -> usize;
+    /// The identity `seal` speaks for.
+    fn sealer(seal: &Self::Seal) -> ProcessId;
+    /// `bits` sealed as `seal`'s own classification.
+    fn seal(seal: &Self::Seal, bits: BitVec) -> Self::Payload;
+    /// The prediction string in `payload`, if it opens as `from`'s own.
+    fn open<'a>(&self, from: ProcessId, payload: &'a Self::Payload) -> Option<&'a BitVec>;
+    /// Aggregates the inbox of round [`Exchange::ROUNDS`] into the
+    /// strings that count (one per voter) and one conviction flag per
+    /// identifier.
+    fn aggregate<'a>(
+        &self,
+        n: usize,
+        t: usize,
+        inbox: &'a [Envelope<Msg<Self>>],
+    ) -> (Vec<&'a BitVec>, Vec<bool>);
+    /// The throne order of an aggregated view.
+    fn schedule(n: usize, t: usize, suspicion: &[usize], convicted: &[bool]) -> Vec<ProcessId>;
+}
+
+/// Messages of the resilient pipeline over exchange `X`. The exchange
+/// is bound to its rounds and phase-king traffic carries its own phase
+/// tags, so replayed messages are inert.
 #[derive(Clone, Debug)]
-pub enum ResilientMsg {
-    /// Round 0 → all: the sender's n-bit prediction string.
-    Classify(Arc<BitVec>),
-    /// Rounds 1+: wrapped trust-ordered phase-king traffic.
+pub enum Msg<X: Exchange> {
+    /// Round 0 → all: the sender's sealed prediction string.
+    Classify(Arc<X::Payload>),
+    /// Later exchange rounds → all: every distinct classification the
+    /// sender received that opened — the common pool behind agreeing
+    /// views.
+    Echo(Arc<Vec<X::Payload>>),
+    /// The king tail: wrapped trust-ordered phase-king traffic.
     Phase(Arc<PhaseKingMsg>),
 }
 
 /// A discriminant byte plus the variant's payload.
-impl WireSize for ResilientMsg {
+impl<X: Exchange> WireSize for Msg<X> {
     fn wire_bytes(&self) -> u64 {
         1 + match self {
-            ResilientMsg::Classify(bits) => bits.wire_bytes(),
-            ResilientMsg::Phase(inner) => inner.wire_bytes(),
+            Msg::Classify(payload) => payload.wire_bytes(),
+            Msg::Echo(entries) => entries.wire_bytes(),
+            Msg::Phase(inner) => inner.wire_bytes(),
         }
     }
 }
 
-/// The first classification each sender shipped in an envelope batch —
-/// the one aggregation view of the round-0 exchange. Honest processes
-/// apply it to their round-1 inbox and [`ResilientDisruptor`] applies
-/// it to the rushed honest traffic of round 0; both sides *must* go
-/// through this function, because the disruptor's schedule
-/// reconstruction is only exact while the two aggregations agree.
-pub fn classifications_by_sender(
-    envelopes: &[Envelope<ResilientMsg>],
-) -> BTreeMap<ProcessId, &BitVec> {
+/// The first classification each sender shipped in an envelope batch
+/// that opens as its own. The plain exchange aggregates its round-1
+/// inbox with it and [`Disruptor`] rebuilds the schedule from the
+/// rushed honest round-0 traffic with it; both sides *must* go through
+/// this function, because the disruptor's schedule reconstruction is
+/// only exact while the two aggregations agree. Identical strings from
+/// different senders each count.
+fn classifications_by_sender<'a, X: Exchange>(
+    exchange: &X,
+    envelopes: &'a [Envelope<Msg<X>>],
+) -> BTreeMap<ProcessId, &'a BitVec> {
     let mut per_sender: BTreeMap<ProcessId, &BitVec> = BTreeMap::new();
     for env in envelopes {
-        if let ResilientMsg::Classify(bits) = &*env.payload {
-            per_sender.entry(env.from).or_insert(bits);
+        if let Msg::Classify(payload) = &*env.payload {
+            if let Some(bits) = exchange.open(env.from, payload) {
+                per_sender.entry(env.from).or_insert(bits);
+            }
         }
     }
     per_sender
@@ -154,7 +194,77 @@ pub fn king_schedule(n: usize, t: usize, suspicion: &[usize]) -> Vec<ProcessId> 
         .collect()
 }
 
-/// One process's state machine for the resilient pipeline.
+/// The unsigned exchange: one round of raw prediction strings, the
+/// first string per sender counts, and the throne order is
+/// [`king_schedule`] — whose rotation suffix is the insurance against
+/// per-recipient equivocation.
+#[derive(Clone, Copy, Debug)]
+pub struct PlainExchange;
+
+impl Exchange for PlainExchange {
+    type Payload = BitVec;
+    type Seal = ProcessId;
+
+    const ROUNDS: u64 = 1;
+
+    /// The `t + 1` suspicion-ordered slots plus the unconditional
+    /// `t + 2`-phase rotation suffix.
+    fn phases(t: usize) -> usize {
+        2 * t + 3
+    }
+
+    fn sealer(seal: &ProcessId) -> ProcessId {
+        *seal
+    }
+
+    fn seal(_: &ProcessId, bits: BitVec) -> BitVec {
+        bits
+    }
+
+    fn open<'a>(&self, _: ProcessId, payload: &'a BitVec) -> Option<&'a BitVec> {
+        Some(payload)
+    }
+
+    fn aggregate<'a>(
+        &self,
+        n: usize,
+        _: usize,
+        inbox: &'a [Envelope<ResilientMsg>],
+    ) -> (Vec<&'a BitVec>, Vec<bool>) {
+        let strings = classifications_by_sender(self, inbox).into_values();
+        (strings.collect(), vec![false; n])
+    }
+
+    fn schedule(n: usize, t: usize, suspicion: &[usize], _: &[bool]) -> Vec<ProcessId> {
+        king_schedule(n, t, suspicion)
+    }
+}
+
+/// What a process learned from the exchange.
+#[derive(Debug)]
+struct View {
+    suspicion: Vec<usize>,
+    convicted: Vec<bool>,
+    classification: BitVec,
+}
+
+/// One process's state machine for the resilient pipeline over the
+/// classification exchange `X`: the exchange rounds, then phase king in
+/// the throne order the aggregated view induces.
+pub struct Resilient<X: Exchange> {
+    me: ProcessId,
+    n: usize,
+    t: usize,
+    input: Value,
+    prediction: BitVec,
+    exchange: X,
+    seal: X::Seal,
+    view: Option<View>,
+    inner: Option<PhaseKing>,
+    out: Option<Value>,
+}
+
+/// The unsigned resilient pipeline.
 ///
 /// # Examples
 ///
@@ -178,41 +288,21 @@ pub fn king_schedule(n: usize, t: usize, suspicion: &[usize]) -> Vec<ProcessId> 
 /// let report = runner.run(ResilientBa::rounds(2));
 /// assert_eq!(report.decision(), Some(&Value(9)));
 /// ```
-pub struct ResilientBa {
-    me: ProcessId,
-    n: usize,
-    t: usize,
-    input: Value,
-    prediction: BitVec,
-    suspicion: Option<Vec<usize>>,
-    classification: Option<BitVec>,
-    inner: Option<PhaseKing>,
-    out: Option<Value>,
-}
+pub type ResilientBa = Resilient<PlainExchange>;
+/// Messages of the unsigned resilient pipeline.
+pub type ResilientMsg = Msg<PlainExchange>;
 
-impl std::fmt::Debug for ResilientBa {
+impl<X: Exchange> Debug for Resilient<X> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ResilientBa")
+        f.debug_struct("Resilient")
             .field("me", &self.me)
-            .field("suspicion", &self.suspicion)
+            .field("view", &self.view)
             .field("out", &self.out)
             .finish_non_exhaustive()
     }
 }
 
-impl ResilientBa {
-    /// Worst-case phase budget: the `t + 1` suspicion-ordered slots plus
-    /// the unconditional `t + 2`-phase rotation suffix.
-    pub fn phases(t: usize) -> usize {
-        2 * t + 3
-    }
-
-    /// Total round budget: one classification round plus the phase-king
-    /// rounds of the full schedule.
-    pub fn rounds(t: usize) -> u64 {
-        1 + PhaseKing::rounds(Self::phases(t))
-    }
-
+impl Resilient<PlainExchange> {
     /// Creates the state machine for process `me`.
     ///
     /// `prediction` is `me`'s n-bit prediction string (bit `j` set ⇔
@@ -223,16 +313,42 @@ impl ResilientBa {
     ///
     /// Panics unless `3t < n` and the prediction has `n` bits.
     pub fn new(me: ProcessId, n: usize, t: usize, input: Value, prediction: BitVec) -> Self {
+        Self::with(PlainExchange, me, me, n, t, input, prediction)
+    }
+}
+
+impl<X: Exchange> Resilient<X> {
+    /// Worst-case phase budget of the king tail.
+    pub fn phases(t: usize) -> usize {
+        X::phases(t)
+    }
+
+    /// Total round budget: the exchange rounds plus the phase-king
+    /// rounds of the full schedule.
+    pub fn rounds(t: usize) -> u64 {
+        X::ROUNDS + PhaseKing::rounds(X::phases(t))
+    }
+
+    fn with(
+        exchange: X,
+        seal: X::Seal,
+        me: ProcessId,
+        n: usize,
+        t: usize,
+        input: Value,
+        prediction: BitVec,
+    ) -> Self {
         assert!(3 * t < n, "resilient BA needs 3t < n");
         assert_eq!(prediction.len(), n, "prediction must have n bits");
-        ResilientBa {
+        Resilient {
             me,
             n,
             t,
             input,
             prediction,
-            suspicion: None,
-            classification: None,
+            exchange,
+            seal,
+            view: None,
             inner: None,
             out: None,
         }
@@ -244,77 +360,87 @@ impl ResilientBa {
     }
 
     /// The aggregated classification — bit `j` set ⇔ a majority of the
-    /// received prediction strings trusts `p_j`. This is the pipeline's
-    /// probe surface: its realized `k_A` measures prediction quality
-    /// *after* the exchange has washed out minority noise, which is the
-    /// resilience mechanism in one number. `None` until round 1.
+    /// counted prediction strings trusts `p_j` and `p_j` is not
+    /// convicted. This is the pipeline's probe surface: its realized
+    /// `k_A` measures prediction quality *after* the exchange has washed
+    /// out minority noise, which is the resilience mechanism in one
+    /// number. `None` until the king tail starts.
     pub fn classification(&self) -> Option<&BitVec> {
-        self.classification.as_ref()
+        self.view.as_ref().map(|v| &v.classification)
     }
 
-    /// The per-identifier suspicion scores aggregated at round 1.
+    /// The per-identifier suspicion scores (`None` until the king tail
+    /// starts).
     pub fn suspicion(&self) -> Option<&[usize]> {
-        self.suspicion.as_deref()
+        self.view.as_ref().map(|v| &v.suspicion[..])
     }
 
-    /// The king schedule this process derived (`None` until round 1).
+    /// The king schedule this process derived (`None` until the king
+    /// tail starts).
     pub fn schedule(&self) -> Option<Vec<ProcessId>> {
-        self.suspicion
-            .as_ref()
-            .map(|s| king_schedule(self.n, self.t, s))
+        let v = self.view.as_ref()?;
+        Some(X::schedule(self.n, self.t, &v.suspicion, &v.convicted))
     }
 
-    /// Aggregates the round-0 classifications and seats the inner
-    /// trust-ordered phase king.
-    fn ingest_classifications(&mut self, inbox: &[Envelope<ResilientMsg>]) {
-        let per_sender = classifications_by_sender(inbox);
-        let voters = per_sender
-            .values()
-            .filter(|c| c.len() == self.n)
-            .count()
-            .max(1);
-        let suspicion = suspicion_scores(self.n, per_sender.into_values());
+    /// Aggregates the exchange and seats the inner trust-ordered phase
+    /// king.
+    fn seat(&mut self, inbox: &[Envelope<Msg<X>>]) {
+        let (strings, convicted) = self.exchange.aggregate(self.n, self.t, inbox);
+        let voters = strings.iter().filter(|c| c.len() == self.n).count().max(1);
+        let suspicion = suspicion_scores(self.n, strings);
         let mut classification = BitVec::zeros(self.n);
         for (j, &s) in suspicion.iter().enumerate() {
-            classification.set(j, 2 * s < voters);
+            classification.set(j, 2 * s < voters && !convicted[j]);
         }
-        let schedule = king_schedule(self.n, self.t, &suspicion);
+        let schedule = X::schedule(self.n, self.t, &suspicion, &convicted);
         self.inner = Some(PhaseKing::with_kings(
             self.me, self.n, self.t, self.input, schedule,
         ));
-        self.suspicion = Some(suspicion);
-        self.classification = Some(classification);
+        self.view = Some(View {
+            suspicion,
+            convicted,
+            classification,
+        });
     }
 }
 
-impl Process for ResilientBa {
-    type Msg = ResilientMsg;
+impl<X: Exchange> Process for Resilient<X> {
+    type Msg = Msg<X>;
     type Output = Value;
 
-    fn step(
-        &mut self,
-        round: u64,
-        inbox: &[Envelope<ResilientMsg>],
-        out: &mut Outbox<ResilientMsg>,
-    ) {
+    fn step(&mut self, round: u64, inbox: &[Envelope<Msg<X>>], out: &mut Outbox<Msg<X>>) {
         if round == 0 {
-            out.broadcast(ResilientMsg::Classify(Arc::new(self.prediction.clone())));
+            let own = X::seal(&self.seal, self.prediction.clone());
+            out.broadcast(Msg::Classify(Arc::new(own)));
             return;
         }
-        if round == 1 {
-            self.ingest_classifications(inbox);
+        if round < X::ROUNDS {
+            let mut opened: Vec<X::Payload> = Vec::new();
+            for env in inbox {
+                if let Msg::Classify(payload) = &*env.payload {
+                    let valid = self.exchange.open(env.from, payload).is_some();
+                    if valid && !opened.contains(payload) {
+                        opened.push((**payload).clone());
+                    }
+                }
+            }
+            out.broadcast(Msg::Echo(Arc::new(opened)));
+            return;
+        }
+        if round == X::ROUNDS {
+            self.seat(inbox);
         }
         let Some(inner) = self.inner.as_mut() else {
             return;
         };
         step_sub(
             inner,
-            round - 1,
+            round - X::ROUNDS,
             inbox,
             out,
-            ResilientMsg::Phase,
+            Msg::Phase,
             |m| match m {
-                ResilientMsg::Phase(x) => Some(Arc::clone(x)),
+                Msg::Phase(x) => Some(Arc::clone(x)),
                 _ => None,
             },
         );
@@ -332,69 +458,87 @@ impl Process for ResilientBa {
     }
 }
 
-/// The worst-case coalition against the resilient pipeline — the
-/// adversary the bench sweeps use to realize the graceful-degradation
-/// round curve (every faulty king the error budget promotes stalls its
-/// phase):
+/// The worst-case coalition against the resilient pipeline over
+/// exchange `X` — the adversary the bench sweeps use to realize the
+/// graceful-degradation round curve (every faulty king the error budget
+/// promotes stalls its phase):
 ///
-/// * **classification round** — votes "everyone is honest", shielding
-///   the coalition so that missed-detection budget spent on its members
-///   keeps them at the head of the throne order;
+/// * **classification round** — every member seals the vote "everyone
+///   is honest", shielding the coalition so that missed-detection
+///   budget spent on its members keeps them at the head of the throne
+///   order (signed, the shields are properly signed: equivocating would
+///   get the coalition convicted and demoted);
+/// * **echo rounds** — silence (honest echoes already spread the
+///   shields);
 /// * **every graded-consensus round** — equivocates value 0 to
 ///   even-numbered recipients and silence to the odd ones, keeping
 ///   honest values split below every quorum while no honest king reigns;
 /// * **faulty king phases** — splits the crown broadcast (0 to evens,
 ///   1 to odds).
 ///
-/// The coalition derives the throne order exactly as the honest
-/// processes do: rushing visibility over the round-0 classifications
-/// (plus its own shield votes) reproduces the suspicion scores, so it
-/// always knows which phases are its own to waste. Deterministic: no
-/// randomness anywhere.
-pub struct ResilientDisruptor {
+/// The coalition derives the throne order as the honest processes do:
+/// rushing visibility over the round-0 classifications, opened per
+/// sender (plus its own shield votes, which add no suspicion, and no
+/// convictions, because neither side equivocates), reproduces the
+/// suspicion scores, so it always knows which phases are its own to
+/// waste. Deterministic: no randomness anywhere.
+pub struct Disruptor<X: Exchange> {
     n: usize,
     t: usize,
-    faulty: Vec<ProcessId>,
+    exchange: X,
+    members: Vec<X::Seal>,
     schedule: Vec<ProcessId>,
 }
 
-impl ResilientDisruptor {
+/// The worst-case coalition against the unsigned resilient pipeline.
+pub type ResilientDisruptor = Disruptor<PlainExchange>;
+
+impl Disruptor<PlainExchange> {
     /// Creates the disruptor for the given system parameters.
     pub fn new(n: usize, t: usize, faulty: Vec<ProcessId>) -> Self {
-        ResilientDisruptor {
+        Self::with(n, t, PlainExchange, faulty)
+    }
+}
+
+impl<X: Exchange> Disruptor<X> {
+    fn with(n: usize, t: usize, exchange: X, members: Vec<X::Seal>) -> Self {
+        Disruptor {
             n,
             t,
-            faulty,
+            exchange,
+            members,
             schedule: Vec::new(),
         }
     }
 
-    /// One phase-slot's worth of coalition disruption, shared by the
-    /// unsigned and signed disruptors: equivocate every graded-consensus
-    /// round (the message to even recipients, silence to the odd ones —
-    /// the selective half-cast that keeps minimum/plurality-style
-    /// honest aggregation split) and split the crown broadcast whenever
-    /// the scheduled king is a coalition member.
-    pub(crate) fn disrupt_phase<M: Clone>(
-        ctx: &mut AdversaryCtx<'_, M>,
-        faulty: &[ProcessId],
-        n: usize,
-        king: ProcessId,
-        tag: u16,
-        slot: u64,
-        wrap: impl Fn(Arc<PhaseKingMsg>) -> M,
-    ) {
+    /// The schedule the rushed honest round-0 classification traffic
+    /// induces.
+    fn reconstruct_schedule(&self, traffic: &[Envelope<Msg<X>>]) -> Vec<ProcessId> {
+        let per_sender = classifications_by_sender(&self.exchange, traffic);
+        let suspicion = suspicion_scores(self.n, per_sender.into_values());
+        X::schedule(self.n, self.t, &suspicion, &vec![false; self.n])
+    }
+
+    /// One phase-slot's worth of coalition disruption: equivocate every
+    /// graded-consensus round (the message to even recipients, silence
+    /// to the odd ones — the selective half-cast that keeps
+    /// minimum/plurality-style honest aggregation split) and split the
+    /// crown broadcast whenever the scheduled king is a coalition
+    /// member.
+    fn disrupt_phase(&self, ctx: &mut AdversaryCtx<'_, Msg<X>>, phase: usize, slot: u64) {
+        let king = self.schedule[phase];
+        let tag = phase as u16;
         let gc = |inner: UnauthGcMsg, first: bool| {
             let inner = Arc::new(inner);
-            wrap(Arc::new(if first {
+            Msg::Phase(Arc::new(if first {
                 PhaseKingMsg::First { phase: tag, inner }
             } else {
                 PhaseKingMsg::Second { phase: tag, inner }
             }))
         };
-        let split_cast = |ctx: &mut AdversaryCtx<'_, M>, msg: M| {
-            for &from in faulty {
-                for to in ProcessId::all(n).filter(|p| p.0.is_multiple_of(2)) {
+        let split_cast = |ctx: &mut AdversaryCtx<'_, Msg<X>>, msg: Msg<X>| {
+            for from in self.members.iter().map(X::sealer) {
+                for to in ProcessId::all(self.n).filter(|p| p.0.is_multiple_of(2)) {
                     ctx.send(from, to, msg.clone());
                 }
             }
@@ -403,10 +547,10 @@ impl ResilientDisruptor {
             0 => split_cast(ctx, gc(UnauthGcMsg::Vote(Value(0)), true)),
             1 => split_cast(ctx, gc(UnauthGcMsg::Echo(Value(0)), true)),
             2 => {
-                if faulty.contains(&king) {
-                    for to in ProcessId::all(n) {
+                if self.members.iter().any(|m| X::sealer(m) == king) {
+                    for to in ProcessId::all(self.n) {
                         let inner = Arc::new(Value(u64::from(to.0 % 2)));
-                        let msg = wrap(Arc::new(PhaseKingMsg::Middle { phase: tag, inner }));
+                        let msg = Msg::Phase(Arc::new(PhaseKingMsg::Middle { phase: tag, inner }));
                         ctx.send(king, to, msg);
                     }
                 }
@@ -418,35 +562,24 @@ impl ResilientDisruptor {
     }
 }
 
-impl Adversary<ResilientMsg> for ResilientDisruptor {
-    fn act(&mut self, ctx: &mut AdversaryCtx<'_, ResilientMsg>) {
+impl<X: Exchange> Adversary<Msg<X>> for Disruptor<X> {
+    fn act(&mut self, ctx: &mut AdversaryCtx<'_, Msg<X>>) {
         if ctx.round == 0 {
-            // Reconstruct the suspicion scores the honest processes will
-            // compute at round 1: their classifications (rushed) plus the
-            // coalition's all-ones shield votes (which add no suspicion).
-            let per_sender = classifications_by_sender(ctx.honest_traffic);
-            let suspicion = suspicion_scores(self.n, per_sender.into_values());
-            self.schedule = king_schedule(self.n, self.t, &suspicion);
-            let shield = ResilientMsg::Classify(Arc::new(BitVec::ones(self.n)));
-            for &from in &self.faulty {
-                ctx.broadcast(from, shield.clone());
+            self.schedule = self.reconstruct_schedule(ctx.honest_traffic);
+            for seal in &self.members {
+                let shield = X::seal(seal, BitVec::ones(self.n));
+                ctx.broadcast(X::sealer(seal), Msg::Classify(Arc::new(shield)));
             }
             return;
         }
-        let local = ctx.round - 1;
-        let phase = (local / 5) as usize;
-        if phase >= self.schedule.len() {
+        if ctx.round < X::ROUNDS {
             return;
         }
-        Self::disrupt_phase(
-            ctx,
-            &self.faulty,
-            self.n,
-            self.schedule[phase],
-            phase as u16,
-            local % 5,
-            ResilientMsg::Phase,
-        );
+        let local = ctx.round - X::ROUNDS;
+        let phase = (local / 5) as usize;
+        if phase < self.schedule.len() {
+            self.disrupt_phase(ctx, phase, local % 5);
+        }
     }
 }
 

@@ -1,15 +1,15 @@
 //! The signed classification exchange: agreeing suspicion views, a
 //! `t + 2`-phase budget, and no rotation suffix.
 //!
-//! The unsigned resilient pipeline ([`crate::ResilientBa`]) broadcasts
-//! prediction strings unauthenticated, so a Byzantine classifier can
-//! send a *different* string to every recipient and split the honest
-//! suspicion views — which is exactly why the unsigned
-//! [`crate::king_schedule`] pays an unconditional `t + 2`-phase
-//! identifier-rotation suffix (worst case `2t + 3` phases; the split is
-//! pinned by `equivocated_classifications_split_the_unsigned_schedules`).
-//! Following Dallot et al.'s signed exchange, this module removes the
-//! suffix:
+//! The plain exchange ([`crate::PlainExchange`]) broadcasts prediction
+//! strings unauthenticated, so a Byzantine classifier can send a
+//! *different* string to every recipient and split the honest suspicion
+//! views — which is exactly why the unsigned [`crate::king_schedule`]
+//! pays an unconditional `t + 2`-phase identifier-rotation suffix
+//! (worst case `2t + 3` phases; the split is pinned by
+//! `equivocated_classifications_split_the_unsigned_schedules`).
+//! Following Dallot et al.'s signed exchange, [`SignedExchange`] removes
+//! the suffix:
 //!
 //! 1. **Signed classifications, verify-on-receive** — round 0
 //!    broadcasts each process's prediction string in a
@@ -56,19 +56,12 @@
 //! guarantee (pure injection and per-recipient equivocation defeated
 //! at n ∈ {16, 32, 64}).
 
-use crate::{suspicion_scores, ResilientDisruptor};
+use crate::{Disruptor, Exchange, Msg, Resilient};
 use ba_core::BitVec;
 use ba_crypto::{Encodable, Encoder, Pki, Signed, SigningKey};
-use ba_early::{PhaseKing, PhaseKingMsg};
-use ba_sim::{
-    step_sub, Adversary, AdversaryCtx, Envelope, Outbox, Process, ProcessId, Value, WireSize,
-};
+use ba_sim::{Envelope, ProcessId, Value, WireSize};
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
-
-/// First phase-king round: classification occupies round 0, the echo
-/// round 1.
-const PHASE_START: u64 = 2;
 
 /// Signed body of a classification broadcast: the sender's `n`-bit
 /// prediction string. The leading tag byte domain-separates it from
@@ -96,31 +89,6 @@ impl Encodable for ClassifyBody {
 impl WireSize for ClassifyBody {
     fn wire_bytes(&self) -> u64 {
         self.bits.wire_bytes()
-    }
-}
-
-/// Messages of the signed resilient pipeline.
-#[derive(Clone, Debug)]
-pub enum ResilientSignedMsg {
-    /// Round 0 → all: the sender's signed prediction string.
-    Classify(Arc<Signed<ClassifyBody>>),
-    /// Round 1 → all: every valid signed classification the sender
-    /// received — the common-pool mechanism behind agreeing views.
-    Echo(Arc<Vec<Signed<ClassifyBody>>>),
-    /// Rounds 2+: wrapped trust-ordered phase-king traffic.
-    Phase(Arc<PhaseKingMsg>),
-}
-
-/// A discriminant byte plus the variant's payload; a signed
-/// classification costs its unsigned counterpart plus exactly the
-/// 20-byte signature.
-impl WireSize for ResilientSignedMsg {
-    fn wire_bytes(&self) -> u64 {
-        1 + match self {
-            ResilientSignedMsg::Classify(s) => s.wire_bytes(),
-            ResilientSignedMsg::Echo(entries) => entries.wire_bytes(),
-            ResilientSignedMsg::Phase(inner) => inner.wire_bytes(),
-        }
     }
 }
 
@@ -157,7 +125,109 @@ pub fn signed_king_schedule(
         .collect()
 }
 
-/// One process's state machine for the signed resilient pipeline.
+/// The signed exchange: signed classifications (round 0), an echo of
+/// every valid one received (round 1), and an aggregation over strings
+/// with `≥ t + 1` distinct echo carriers that convicts equivocators.
+#[derive(Clone, Debug)]
+pub struct SignedExchange {
+    pki: Arc<Pki>,
+}
+
+impl Exchange for SignedExchange {
+    type Payload = Signed<ClassifyBody>;
+    type Seal = SigningKey;
+
+    const ROUNDS: u64 = 2;
+
+    /// `t + 2` suspicion-ordered slots — no rotation suffix (compare
+    /// the plain exchange's `2t + 3`).
+    fn phases(t: usize) -> usize {
+        t + 2
+    }
+
+    fn sealer(key: &SigningKey) -> ProcessId {
+        ProcessId(key.id())
+    }
+
+    fn seal(key: &SigningKey, bits: BitVec) -> Signed<ClassifyBody> {
+        Signed::new(ClassifyBody { bits }, key)
+    }
+
+    /// Signature verified for the envelope sender.
+    fn open<'a>(&self, from: ProcessId, payload: &'a Signed<ClassifyBody>) -> Option<&'a BitVec> {
+        payload
+            .verified_from(&self.pki, from.0)
+            .map(|body| &body.bits)
+    }
+
+    /// Only strings carried by **at least `t + 1` distinct echoers**
+    /// count (for scoring *and* conviction). Honest echoes are
+    /// broadcast, so the honest carrier count of every string is the
+    /// same at every honest process; a string broadcast in round 0
+    /// reaches `n − f ≥ t + 1` honest echoers and is counted
+    /// everywhere, while a string *injected* directly into echo-round
+    /// inboxes (never broadcast in round 0) can muster at most `f ≤ t`
+    /// faulty carriers and is ignored everywhere — so the coalition
+    /// cannot split the aggregated views without committing a string
+    /// to `≥ t + 1 − f` honest processes in round 0 first. Own direct
+    /// receptions need no special case: a process's round-1 echo is
+    /// broadcast, so it reaches its own round-2 inbox too.
+    fn aggregate<'a>(
+        &self,
+        n: usize,
+        t: usize,
+        inbox: &'a [Envelope<ResilientSignedMsg>],
+    ) -> (Vec<&'a BitVec>, Vec<bool>) {
+        // Per signer: each distinct validly-signed string with its set
+        // of distinct echo carriers. Echoed entries verify on their own
+        // signatures — the echoer needs no trust for *validity*, only
+        // the carrier count gates *inclusion*. Each distinct
+        // (signer, string) pair is verified once, on first sight.
+        let mut per_signer: BTreeMap<u32, Vec<(&BitVec, BTreeSet<ProcessId>)>> = BTreeMap::new();
+        for env in inbox {
+            let Msg::Echo(entries) = &*env.payload else {
+                continue;
+            };
+            for signed in entries.iter() {
+                if (signed.signer() as usize) >= n {
+                    continue;
+                }
+                let bits = &signed.body().bits;
+                let strings = per_signer.entry(signed.signer()).or_default();
+                match strings.iter_mut().find(|(seen, _)| *seen == bits) {
+                    Some((_, carriers)) => {
+                        carriers.insert(env.from);
+                    }
+                    None if signed.verify(&self.pki) => {
+                        strings.push((bits, BTreeSet::from([env.from])));
+                    }
+                    None => {}
+                }
+            }
+        }
+        let mut convicted = vec![false; n];
+        let mut singles: Vec<&BitVec> = Vec::new();
+        for (&signer, strings) in &per_signer {
+            let attested: Vec<&BitVec> = strings
+                .iter()
+                .filter(|(_, carriers)| carriers.len() > t)
+                .map(|(bits, _)| *bits)
+                .collect();
+            match attested[..] {
+                [] => {}
+                [one] => singles.push(one),
+                _ => convicted[signer as usize] = true,
+            }
+        }
+        (singles, convicted)
+    }
+
+    fn schedule(n: usize, t: usize, suspicion: &[usize], convicted: &[bool]) -> Vec<ProcessId> {
+        signed_king_schedule(n, t, suspicion, convicted)
+    }
+}
+
+/// The signed resilient pipeline.
 ///
 /// # Examples
 ///
@@ -185,51 +255,15 @@ pub fn signed_king_schedule(
 /// let report = runner.run(ResilientSigned::rounds(2));
 /// assert_eq!(report.decision(), Some(&Value(9)));
 /// ```
-pub struct ResilientSigned {
-    me: ProcessId,
-    n: usize,
-    t: usize,
-    input: Value,
-    prediction: BitVec,
-    pki: Arc<Pki>,
-    key: SigningKey,
-    /// Valid signed classifications received directly in round 0
-    /// (possibly several distinct ones per equivocating sender).
-    /// Consumed by the round-1 echo; the round-2 aggregation reads
-    /// echoes only (its own echo included, via self-delivery).
-    received: Vec<Signed<ClassifyBody>>,
-    suspicion: Option<Vec<usize>>,
-    convicted: Option<Vec<bool>>,
-    classification: Option<BitVec>,
-    inner: Option<PhaseKing>,
-    out: Option<Value>,
-}
+pub type ResilientSigned = Resilient<SignedExchange>;
+/// Messages of the signed resilient pipeline; a signed classification
+/// costs its unsigned counterpart plus exactly the 20-byte signature.
+pub type ResilientSignedMsg = Msg<SignedExchange>;
+/// The worst-case coalition against the signed resilient pipeline.
+pub type SignedResilientDisruptor = Disruptor<SignedExchange>;
 
-impl std::fmt::Debug for ResilientSigned {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ResilientSigned")
-            .field("me", &self.me)
-            .field("suspicion", &self.suspicion)
-            .field("convicted", &self.convicted)
-            .field("out", &self.out)
-            .finish_non_exhaustive()
-    }
-}
-
-impl ResilientSigned {
-    /// Phase budget: `t + 2` suspicion-ordered slots — no rotation
-    /// suffix (compare [`crate::ResilientBa::phases`]'s `2t + 3`).
-    pub fn phases(t: usize) -> usize {
-        t + 2
-    }
-
-    /// Total round budget: classification + echo + the phase-king
-    /// rounds of the suffix-free schedule.
-    pub fn rounds(t: usize) -> u64 {
-        PHASE_START + PhaseKing::rounds(Self::phases(t))
-    }
-
-    /// Creates the state machine for process `me`.
+impl Resilient<SignedExchange> {
+    /// Creates the state machine for process `me`, signing with `key`.
     ///
     /// # Panics
     ///
@@ -243,319 +277,31 @@ impl ResilientSigned {
         pki: Arc<Pki>,
         key: SigningKey,
     ) -> Self {
-        assert!(3 * t < n, "resilient BA needs 3t < n");
-        assert_eq!(prediction.len(), n, "prediction must have n bits");
-        ResilientSigned {
-            me,
-            n,
-            t,
-            input,
-            prediction,
-            pki,
-            key,
-            received: Vec::new(),
-            suspicion: None,
-            convicted: None,
-            classification: None,
-            inner: None,
-            out: None,
-        }
-    }
-
-    /// The raw prediction string this process started from.
-    pub fn prediction(&self) -> &BitVec {
-        &self.prediction
-    }
-
-    /// The aggregated majority classification (the probe surface, as in
-    /// the unsigned variant); convicted equivocators are classified
-    /// faulty. `None` until round 2.
-    pub fn classification(&self) -> Option<&BitVec> {
-        self.classification.as_ref()
-    }
-
-    /// The per-identifier suspicion scores aggregated at round 2.
-    pub fn suspicion(&self) -> Option<&[usize]> {
-        self.suspicion.as_deref()
+        Self::with(SignedExchange { pki }, key, me, n, t, input, prediction)
     }
 
     /// Which identifiers were convicted of classification equivocation
     /// (`None` until round 2).
     pub fn convicted(&self) -> Option<&[bool]> {
-        self.convicted.as_deref()
-    }
-
-    /// The suffix-free king schedule this process derived (`None` until
-    /// round 2).
-    pub fn schedule(&self) -> Option<Vec<ProcessId>> {
-        match (&self.suspicion, &self.convicted) {
-            (Some(s), Some(c)) => Some(signed_king_schedule(self.n, self.t, s, c)),
-            _ => None,
-        }
-    }
-
-    /// Collects the valid signed classifications of an inbox: signature
-    /// verified for the envelope sender, duplicates dropped, *distinct*
-    /// equivocated strings kept (they are conviction evidence).
-    fn valid_classifications(
-        &self,
-        inbox: &[Envelope<ResilientSignedMsg>],
-    ) -> Vec<Signed<ClassifyBody>> {
-        let mut valid: Vec<Signed<ClassifyBody>> = Vec::new();
-        for env in inbox {
-            let ResilientSignedMsg::Classify(signed) = &*env.payload else {
-                continue;
-            };
-            if signed.verified_from(&self.pki, env.from.0).is_none() {
-                continue;
-            }
-            if !valid.iter().any(|s| *s == **signed) {
-                valid.push((**signed).clone());
-            }
-        }
-        valid
-    }
-
-    /// Aggregates the echoed common pool into suspicion scores,
-    /// convictions, and the seated phase king.
-    ///
-    /// Only strings carried by **at least `t + 1` distinct echoers**
-    /// count (for scoring *and* conviction). Honest echoes are
-    /// broadcast, so the honest carrier count of every string is the
-    /// same at every honest process; a string broadcast in round 0
-    /// reaches `n − f ≥ t + 1` honest echoers and is counted
-    /// everywhere, while a string *injected* directly into echo-round
-    /// inboxes (never broadcast in round 0) can muster at most `f ≤ t`
-    /// faulty carriers and is ignored everywhere — so the coalition
-    /// cannot split the aggregated views without committing a string
-    /// to `≥ t + 1 − f` honest processes in round 0 first. Own direct
-    /// receptions need no special case: a process's round-1 echo is
-    /// broadcast, so it reaches its own round-2 inbox too.
-    fn ingest_pool(&mut self, inbox: &[Envelope<ResilientSignedMsg>]) {
-        // Per signer: each distinct validly-signed string with its set
-        // of distinct echo carriers. Echoed entries verify on their own
-        // signatures — the echoer needs no trust for *validity*, only
-        // the carrier count gates *inclusion*. Each distinct
-        // (signer, string) pair is verified once, on first sight.
-        let mut per_signer: BTreeMap<u32, Vec<(BitVec, BTreeSet<ProcessId>)>> = BTreeMap::new();
-        for env in inbox {
-            let ResilientSignedMsg::Echo(entries) = &*env.payload else {
-                continue;
-            };
-            for signed in entries.iter() {
-                if (signed.signer() as usize) >= self.n {
-                    continue;
-                }
-                let strings = per_signer.entry(signed.signer()).or_default();
-                match strings
-                    .iter_mut()
-                    .find(|(bits, _)| *bits == signed.body().bits)
-                {
-                    Some((_, carriers)) => {
-                        carriers.insert(env.from);
-                    }
-                    None if signed.verify(&self.pki) => {
-                        strings.push((signed.body().bits.clone(), BTreeSet::from([env.from])));
-                    }
-                    None => {}
-                }
-            }
-        }
-        let mut convicted = vec![false; self.n];
-        let mut singles: Vec<&BitVec> = Vec::new();
-        for (&signer, strings) in &per_signer {
-            let attested: Vec<&BitVec> = strings
-                .iter()
-                .filter(|(_, carriers)| carriers.len() > self.t)
-                .map(|(bits, _)| bits)
-                .collect();
-            match attested[..] {
-                [] => {}
-                [one] => singles.push(one),
-                _ => convicted[signer as usize] = true,
-            }
-        }
-        let voters = singles.iter().filter(|c| c.len() == self.n).count().max(1);
-        let suspicion = suspicion_scores(self.n, singles);
-        let mut classification = BitVec::zeros(self.n);
-        for (j, &s) in suspicion.iter().enumerate() {
-            classification.set(j, 2 * s < voters && !convicted[j]);
-        }
-        let schedule = signed_king_schedule(self.n, self.t, &suspicion, &convicted);
-        self.inner = Some(PhaseKing::with_kings(
-            self.me, self.n, self.t, self.input, schedule,
-        ));
-        self.suspicion = Some(suspicion);
-        self.convicted = Some(convicted);
-        self.classification = Some(classification);
+        self.view.as_ref().map(|v| &v.convicted[..])
     }
 }
 
-impl Process for ResilientSigned {
-    type Msg = ResilientSignedMsg;
-    type Output = Value;
-
-    fn step(
-        &mut self,
-        round: u64,
-        inbox: &[Envelope<ResilientSignedMsg>],
-        out: &mut Outbox<ResilientSignedMsg>,
-    ) {
-        match round {
-            0 => {
-                out.broadcast(ResilientSignedMsg::Classify(Arc::new(Signed::new(
-                    ClassifyBody {
-                        bits: self.prediction.clone(),
-                    },
-                    &self.key,
-                ))));
-                return;
-            }
-            1 => {
-                self.received = self.valid_classifications(inbox);
-                out.broadcast(ResilientSignedMsg::Echo(Arc::new(self.received.clone())));
-                return;
-            }
-            2 => self.ingest_pool(inbox),
-            _ => {}
-        }
-        let Some(inner) = self.inner.as_mut() else {
-            return;
-        };
-        step_sub(
-            inner,
-            round - PHASE_START,
-            inbox,
-            out,
-            ResilientSignedMsg::Phase,
-            |m| match m {
-                ResilientSignedMsg::Phase(x) => Some(Arc::clone(x)),
-                _ => None,
-            },
-        );
-        if let Some(o) = inner.output() {
-            self.out = Some(o.decision.unwrap_or(o.value));
-        }
-    }
-
-    fn output(&self) -> Option<Value> {
-        self.out
-    }
-
-    fn halted(&self) -> bool {
-        self.out.is_some()
-    }
-}
-
-/// The worst-case coalition against the signed resilient pipeline —
-/// [`ResilientDisruptor`]'s strategy adapted to the signed exchange:
-/// properly signed all-ones shield votes in the classification round
-/// (equivocating there would get the coalition convicted and demoted),
-/// silence in the echo round (honest echoes already spread the
-/// shields), then the same quorum-splitting equivocation and
-/// crown-splitting during every phase whose king it owns. Used by the
-/// bench sweeps to realize the signed family's (suffix-free) graceful
-/// degradation staircase.
-pub struct SignedResilientDisruptor {
-    n: usize,
-    t: usize,
-    faulty: Vec<ProcessId>,
-    keys: Vec<SigningKey>,
-    pki: Arc<Pki>,
-    schedule: Vec<ProcessId>,
-}
-
-impl SignedResilientDisruptor {
+impl Disruptor<SignedExchange> {
     /// Creates the disruptor for the given system parameters; `keys`
     /// are the corrupted identifiers' signing keys (the harness hands
     /// the adversary exactly those, never honest ones).
     pub fn new(n: usize, t: usize, keys: Vec<SigningKey>, pki: Arc<Pki>) -> Self {
-        let faulty = keys.iter().map(|k| ProcessId(k.id())).collect();
-        SignedResilientDisruptor {
-            n,
-            t,
-            faulty,
-            keys,
-            pki,
-            schedule: Vec::new(),
-        }
-    }
-
-    /// The suffix-free schedule the rushed honest round-0
-    /// classification traffic induces. Aggregation is one string *per
-    /// sender* — identical strings from different senders each count,
-    /// exactly as in the honest [`ResilientSigned`] aggregation (and
-    /// the unsigned disruptor's `classifications_by_sender` path); a
-    /// content-deduplicated count would rank identifiers differently
-    /// and desynchronize the coalition from the throne order it means
-    /// to disrupt.
-    fn reconstruct_schedule(
-        n: usize,
-        t: usize,
-        pki: &Pki,
-        traffic: &[Envelope<ResilientSignedMsg>],
-    ) -> Vec<ProcessId> {
-        let mut per_sender: BTreeMap<ProcessId, &BitVec> = BTreeMap::new();
-        for env in traffic {
-            let ResilientSignedMsg::Classify(signed) = &*env.payload else {
-                continue;
-            };
-            if signed.verified_from(pki, env.from.0).is_none() {
-                continue;
-            }
-            per_sender.entry(env.from).or_insert(&signed.body().bits);
-        }
-        let suspicion = suspicion_scores(n, per_sender.into_values());
-        signed_king_schedule(n, t, &suspicion, &vec![false; n])
-    }
-}
-
-impl Adversary<ResilientSignedMsg> for SignedResilientDisruptor {
-    fn act(&mut self, ctx: &mut AdversaryCtx<'_, ResilientSignedMsg>) {
-        if ctx.round == 0 {
-            // Reconstruct the schedule the honest processes will derive
-            // at round 2: their signed classifications (rushed), no
-            // convictions (honest processes never equivocate and the
-            // coalition will not either), plus the coalition's all-ones
-            // shields — which add no suspicion.
-            self.schedule =
-                Self::reconstruct_schedule(self.n, self.t, &self.pki, ctx.honest_traffic);
-            for key in &self.keys {
-                let shield = ResilientSignedMsg::Classify(Arc::new(Signed::new(
-                    ClassifyBody {
-                        bits: BitVec::ones(self.n),
-                    },
-                    key,
-                )));
-                ctx.broadcast(ProcessId(key.id()), shield);
-            }
-            return;
-        }
-        if ctx.round == 1 {
-            return; // honest echoes already spread the shields
-        }
-        let local = ctx.round - PHASE_START;
-        let phase = (local / 5) as usize;
-        if phase >= self.schedule.len() {
-            return;
-        }
-        ResilientDisruptor::disrupt_phase(
-            ctx,
-            &self.faulty,
-            self.n,
-            self.schedule[phase],
-            phase as u16,
-            local % 5,
-            ResilientSignedMsg::Phase,
-        );
+        Self::with(n, t, SignedExchange { pki }, keys)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::suspicion_scores;
     use ba_core::PredictionMatrix;
-    use ba_sim::{FnAdversary, ReplayAdversary, Runner, SilentAdversary};
+    use ba_sim::{AdversaryCtx, FnAdversary, ReplayAdversary, Runner, SilentAdversary};
     use std::collections::BTreeSet;
 
     fn faults(ids: &[u32]) -> BTreeSet<ProcessId> {
@@ -864,7 +610,7 @@ mod tests {
         // throne order it means to disrupt.
         let n = 7;
         let t = 2;
-        let pki = Pki::new(n, 3);
+        let pki = Arc::new(Pki::new(n, 3));
         let classify = |sender: u32, suspects: &[usize]| {
             let mut bits = BitVec::ones(7);
             for &j in suspects {
@@ -888,7 +634,8 @@ mod tests {
             classify(3, &[4, 5]),
             classify(4, &[4, 6]),
         ];
-        let schedule = SignedResilientDisruptor::reconstruct_schedule(n, t, &pki, &traffic);
+        let schedule =
+            SignedResilientDisruptor::new(n, t, Vec::new(), pki).reconstruct_schedule(&traffic);
         // Per-sender scores: p3 ← 3, p4 ← 2, p5 ← 1, p6 ← 1; the last
         // slot goes to p5 (tie with p6 broken by id).
         assert_eq!(

@@ -17,8 +17,9 @@
 use ba_commeff::signed::{AckBody, Certificate, CommEffSignedMsg, ReportBody};
 use ba_core::{BitVec, SubProtocols, WrapperMsg};
 use ba_crypto::{Pki, Signed, SigningKey};
-use ba_resilient::signed::{ClassifyBody, ResilientSignedMsg};
-use ba_resilient::ResilientMsg;
+use ba_resilient::{
+    Exchange, Msg, PlainExchange, ResilientMsg, ResilientSignedMsg, SignedExchange,
+};
 use ba_sim::{Adversary, AdversaryCtx, ProcessId, Value};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -81,30 +82,24 @@ impl ClassifyLiar {
         }
     }
 
-    fn emit<M>(&mut self, ctx: &mut AdversaryCtx<'_, M>, wrap: impl Fn(Arc<BitVec>) -> M)
-    where
-        M: Clone,
-    {
-        if ctx.round != 0 {
-            return;
-        }
-        let per_recipient = matches!(self.style, LiarStyle::RandomPerRecipient);
-        for from in self.faulty.clone() {
-            if per_recipient {
-                for to in ProcessId::all(self.n) {
-                    let msg = wrap(Arc::new(self.vector()));
-                    ctx.send(from, to, msg);
-                }
-            } else {
-                let msg = wrap(Arc::new(self.vector()));
-                ctx.broadcast(from, msg);
-            }
+    /// A liar whose members seal their vectors with `wrap`; members
+    /// without a seal stay silent.
+    fn sealed<S, M, F: Fn(&S, BitVec) -> M>(
+        self,
+        seals: impl IntoIterator<Item = (ProcessId, S)>,
+        wrap: F,
+    ) -> Liar<S, F> {
+        Liar {
+            base: self,
+            seals: seals.into_iter().collect(),
+            wrap,
         }
     }
 
     /// Adapter for either wrapper's message type.
     pub fn wrapper<C: SubProtocols + 'static>(self) -> Box<dyn Adversary<WrapperMsg<C>>> {
-        Box::new(Liar(self, WrapperMsg::Classify))
+        let seals: Vec<_> = self.faulty.iter().map(|&id| (id, ())).collect();
+        Box::new(self.sealed(seals, |_, bits| WrapperMsg::Classify(Arc::new(bits))))
     }
 
     /// Adapter for the resilient pipeline's message type — the only
@@ -112,7 +107,8 @@ impl ClassifyLiar {
     /// (`RandomPerRecipient` there splits the honest suspicion views,
     /// exercising the schedule's liveness suffix).
     pub fn resilient(self) -> Box<dyn Adversary<ResilientMsg>> {
-        Box::new(Liar(self, ResilientMsg::Classify))
+        let ids = self.faulty.clone();
+        Box::new(self.exchange::<PlainExchange>(ids))
     }
 
     /// Adapter for the *signed* resilient pipeline: the same crafted
@@ -122,48 +118,45 @@ impl ClassifyLiar {
     /// signed exchange convicts it by its own signatures instead of
     /// paying the rotation suffix.
     pub fn resilient_signed(self, keys: Vec<SigningKey>) -> impl Adversary<ResilientSignedMsg> {
-        let keys = keys
-            .into_iter()
-            .map(|k| (ProcessId(k.id()), k))
-            .collect::<BTreeMap<_, _>>();
-        SignedResilientLiar { base: self, keys }
+        self.exchange::<SignedExchange>(keys)
+    }
+
+    /// Adapter for a resilient exchange `X`: each member seals its
+    /// vectors as the exchange's own senders do.
+    fn exchange<X: Exchange + 'static>(self, seals: Vec<X::Seal>) -> impl Adversary<Msg<X>> {
+        let seals = seals.into_iter().map(|seal| (X::sealer(&seal), seal));
+        self.sealed(seals, |seal, bits| {
+            Msg::Classify(Arc::new(X::seal(seal, bits)))
+        })
     }
 }
 
-/// A [`ClassifyLiar`] whose vectors travel in the message `wrap` builds.
-struct Liar<F>(ClassifyLiar, F);
-
-impl<M: Clone, F: Fn(Arc<BitVec>) -> M> Adversary<M> for Liar<F> {
-    fn act(&mut self, ctx: &mut AdversaryCtx<'_, M>) {
-        self.0.emit(ctx, &self.1);
-    }
-}
-
-struct SignedResilientLiar {
+/// A [`ClassifyLiar`] whose members' vectors travel in the message
+/// `wrap` seals: in the classification round each member broadcasts one
+/// vector (or, `RandomPerRecipient`, sends a fresh one to every
+/// recipient), then the coalition stays silent.
+struct Liar<S, F> {
     base: ClassifyLiar,
-    keys: BTreeMap<ProcessId, SigningKey>,
+    seals: BTreeMap<ProcessId, S>,
+    wrap: F,
 }
 
-impl Adversary<ResilientSignedMsg> for SignedResilientLiar {
-    fn act(&mut self, ctx: &mut AdversaryCtx<'_, ResilientSignedMsg>) {
+impl<S, M: Clone, F: Fn(&S, BitVec) -> M> Adversary<M> for Liar<S, F> {
+    fn act(&mut self, ctx: &mut AdversaryCtx<'_, M>) {
         if ctx.round != 0 {
             return;
         }
         let per_recipient = matches!(self.base.style, LiarStyle::RandomPerRecipient);
         for from in self.base.faulty.clone() {
-            let Some(key) = self.keys.get(&from) else {
+            let Some(seal) = self.seals.get(&from) else {
                 continue;
-            };
-            let classify = |bits: BitVec| {
-                ResilientSignedMsg::Classify(Arc::new(Signed::new(ClassifyBody { bits }, key)))
             };
             if per_recipient {
                 for to in ProcessId::all(self.base.n) {
-                    let msg = classify(self.base.vector());
-                    ctx.send(from, to, msg);
+                    ctx.send(from, to, (self.wrap)(seal, self.base.vector()));
                 }
             } else {
-                ctx.broadcast(from, classify(self.base.vector()));
+                ctx.broadcast(from, (self.wrap)(seal, self.base.vector()));
             }
         }
     }
@@ -216,9 +209,10 @@ impl SignedCertEquivocator {
     }
 
     /// A certificate stuffed with forged acknowledgements: self-signed
-    /// tags re-attributed to honest signers. Must never verify.
-    fn bogus_certificate(&self, value: Value) -> Arc<Certificate> {
-        let key = &self.keys[0];
+    /// tags re-attributed to honest signers. Must never verify. `None`
+    /// when the coalition holds no key to forge with.
+    fn bogus_certificate(&self, value: Value) -> Option<Arc<Certificate>> {
+        let key = self.keys.first()?;
         let acks = (0..self.n as u32)
             .map(|claimed| {
                 let body = AckBody { value, happy: true };
@@ -227,7 +221,7 @@ impl SignedCertEquivocator {
                 Signed::from_parts(body, sig)
             })
             .collect();
-        Arc::new(Certificate { value, acks })
+        Some(Arc::new(Certificate { value, acks }))
     }
 
     /// The genuine certificate for `value`, if the harvested and own
@@ -321,7 +315,9 @@ impl Adversary<CommEffSignedMsg> for SignedCertEquivocator {
                     }
                 }
                 // …and unverifiable forged certificates to the evens.
-                let bogus = self.bogus_certificate(Value(a));
+                let Some(bogus) = self.bogus_certificate(Value(a)) else {
+                    return;
+                };
                 for key in &self.keys {
                     let from = ProcessId(key.id());
                     for to in ProcessId::all(self.n).filter(|p| p.0.is_multiple_of(2)) {

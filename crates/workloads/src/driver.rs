@@ -23,7 +23,8 @@
 //! to silence (its lies have no audience). `Disruptor` maps to the
 //! strongest behaviour each family admits: the schedule-aware
 //! coalitions for the wrappers ([`crate::disruptor`]) and the resilient
-//! pair ([`ba_resilient::ResilientDisruptor`] /
+//! pair (one [`ba_resilient::Disruptor`] over either exchange:
+//! [`ba_resilient::ResilientDisruptor`] /
 //! [`ba_resilient::SignedResilientDisruptor`]), the full
 //! signature-equivocation menu for the signed committee pipeline
 //! ([`crate::adversaries::SignedCertEquivocator`]), and a 1-round

@@ -33,10 +33,9 @@ pub use crate::adversaries::LiarStyle;
 /// envelope, trading signature bytes for the removal of each family's
 /// documented equivocation conditionality.
 ///
-/// Marked `#[non_exhaustive]`: this is the extension seam (sharded and
-/// batched execution modes are the open directions), so downstream
-/// matches must carry a wildcard arm and new variants are not breaking
-/// changes. Prefer branching on family capabilities
+/// Marked `#[non_exhaustive]`: a new protocol family is a new variant
+/// plus one [`Family`] row, so downstream matches must carry a wildcard
+/// arm and new variants are not breaking changes. Prefer branching on family capabilities
 /// ([`Family::uses_predictions`], [`Family::max_faults`]) over matching
 /// variants.
 #[non_exhaustive]
@@ -145,8 +144,9 @@ pub enum AdversaryKind {
     /// equivocates every quorum protocol, withholds chains, splits
     /// plurality reports. This is the adversary the bench sweeps use to
     /// realize the paper's `min{B/n + 1, f}` round curve. On the
-    /// prediction-free baselines it degrades to a replay coalition (see
-    /// [`crate::driver`] module docs).
+    /// prediction-free baselines and the unsigned communication-efficient
+    /// pipeline it degrades to a replay coalition (see [`crate::driver`]
+    /// module docs).
     Disruptor,
 }
 

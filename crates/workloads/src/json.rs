@@ -28,7 +28,7 @@ pub fn to_json_array<T: ToJson>(items: &[T]) -> String {
 }
 
 /// Escapes a string for embedding inside JSON quotes.
-pub fn escape(s: &str) -> String {
+fn escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     for c in s.chars() {
         match c {

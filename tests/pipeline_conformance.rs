@@ -534,6 +534,117 @@ fn every_pipeline_matches_its_pinned_disruptor_costs() {
 }
 
 #[test]
+fn resilient_liars_match_their_pinned_costs() {
+    // The classification liars are the only adversaries that speak in
+    // the resilient exchange rounds besides the disruptors, so their
+    // exact costs pin the liar adapters (same set-up as the disruptor
+    // pins above; `RandomPerRecipient` equivocates per recipient and,
+    // signed, gets convicted).
+    let pinned: [(Pipeline, LiarStyle, u64, u64, u64, usize); 8] = [
+        (Pipeline::Resilient, LiarStyle::AllOnes, 11, 984, 12048, 3),
+        (Pipeline::Resilient, LiarStyle::AllZeros, 11, 984, 12048, 0),
+        (Pipeline::Resilient, LiarStyle::Inverted, 11, 984, 12048, 3),
+        (
+            Pipeline::Resilient,
+            LiarStyle::RandomPerRecipient,
+            51,
+            3000,
+            38160,
+            1,
+        ),
+        (
+            Pipeline::ResilientSigned,
+            LiarStyle::AllOnes,
+            12,
+            1104,
+            55608,
+            3,
+        ),
+        (
+            Pipeline::ResilientSigned,
+            LiarStyle::AllZeros,
+            12,
+            1104,
+            55608,
+            0,
+        ),
+        (
+            Pipeline::ResilientSigned,
+            LiarStyle::Inverted,
+            12,
+            1104,
+            55608,
+            3,
+        ),
+        (
+            Pipeline::ResilientSigned,
+            LiarStyle::RandomPerRecipient,
+            12,
+            1104,
+            55608,
+            0,
+        ),
+    ];
+    for (pipeline, style, rounds, messages, bytes, k_a) in pinned {
+        let out = ExperimentConfig::builder()
+            .n(13)
+            .faults(3, FaultPlacement::Head)
+            .budget(16, ErrorPlacement::TrustedFaults)
+            .pipeline(pipeline)
+            .inputs(InputPattern::Split)
+            .adversary(AdversaryKind::ClassifyLiar(style))
+            .seed(0)
+            .build()
+            .run();
+        assert!(
+            out.agreement,
+            "{pipeline:?} under {style:?} broke agreement"
+        );
+        assert_eq!(
+            (out.rounds, out.messages, out.bytes, out.k_a),
+            (Some(rounds), messages, bytes, k_a),
+            "{pipeline:?} under {style:?}: (rounds, messages, bytes, k_A)"
+        );
+    }
+}
+
+#[test]
+fn every_pipeline_survives_every_adversary_with_no_faults() {
+    // f = 0: every coalition is empty. Each adversary must cope with
+    // having nobody (and, signed, no key) to act through.
+    let adversaries = [
+        AdversaryKind::Silent,
+        AdversaryKind::ClassifyLiar(LiarStyle::AllOnes),
+        AdversaryKind::ClassifyLiar(LiarStyle::AllZeros),
+        AdversaryKind::ClassifyLiar(LiarStyle::Inverted),
+        AdversaryKind::ClassifyLiar(LiarStyle::RandomPerRecipient),
+        AdversaryKind::Replay,
+        AdversaryKind::Disruptor,
+    ];
+    for pipeline in Pipeline::ALL {
+        for adversary in adversaries {
+            let out = ExperimentConfig::builder()
+                .n(13)
+                .faults(0, FaultPlacement::Head)
+                .pipeline(pipeline)
+                .inputs(InputPattern::Split)
+                .adversary(adversary)
+                .seed(0)
+                .build()
+                .run();
+            assert!(
+                out.rounds.is_some(),
+                "{pipeline:?} under {adversary:?} at f = 0 did not terminate"
+            );
+            assert!(
+                out.agreement,
+                "{pipeline:?} under {adversary:?} at f = 0 broke agreement"
+            );
+        }
+    }
+}
+
+#[test]
 fn replay_pipelines_match_their_pinned_faulty_traffic() {
     // `ExperimentOutcome` carries honest counts only, so this pins the
     // faulty side of the two families whose `Disruptor` is the replay
