@@ -6,11 +6,13 @@
 //! observed batch (a serviceable noise floor for a deterministic
 //! workload).
 
+use ba_auth::chains::{committee_bytes, CommitteeCert, MessageChain};
 use ba_crypto::{hmac_sha256, sha256, Pki};
-use ba_graded::UnauthGraded;
+use ba_graded::{AuthGraded, UnauthGraded};
 use ba_sim::{ProcessId, ReplayAdversary, Runner, SilentAdversary, Value};
 use ba_workloads::Table;
 use std::hint::black_box;
+use std::sync::Arc;
 use std::time::Instant;
 
 /// Times `f` over `batches × per_batch` iterations, returning
@@ -101,6 +103,69 @@ fn main() {
     });
     table.row([
         "unauth_graded_consensus_n32".to_string(),
+        format!("{mean:.0}"),
+        format!("{best:.0}"),
+    ]);
+
+    // The certified-gradecast path of Algorithm 1's authenticated
+    // pipeline: 24 parallel gradecasts, each with 24² echo and confirm
+    // items. A fresh `Pki` per run keeps the verify-once memo cold.
+    let (mean, best) = measure(10, 10, || {
+        let (n, t) = (24, 11);
+        let pki = Arc::new(Pki::new(n, 5));
+        let procs: Vec<_> = (0..n as u32)
+            .map(|i| {
+                let input = Value(u64::from(i % 2));
+                AuthGraded::new(
+                    ProcessId(i),
+                    n,
+                    t,
+                    1,
+                    input,
+                    Arc::clone(&pki),
+                    pki.signing_key(i),
+                )
+            })
+            .collect();
+        let mut runner = Runner::new(n, procs, SilentAdversary);
+        black_box(runner.run(6))
+    });
+    table.row([
+        "auth_graded_consensus_n24".to_string(),
+        format!("{mean:.0}"),
+        format!("{best:.0}"),
+    ]);
+
+    // A certified chain of eight links, each signer carrying a committee
+    // certificate of t + 1 = 4 votes, verified on a cold `Pki` per call:
+    // 40 distinct signatures, each HMACed once.
+    let (n, t, session) = (16, 3, 9);
+    let signer_pki = Pki::new(n, 3);
+    let cert = |member: u32| {
+        let votes: Vec<_> = (12..16)
+            .map(|voter| {
+                signer_pki
+                    .signing_key(voter)
+                    .sign(&committee_bytes(session, member))
+            })
+            .collect();
+        CommitteeCert::assemble(member, &votes, t)
+    };
+    let mut chain = MessageChain::start(session, 0, Value(1), &signer_pki.signing_key(0), cert(0));
+    for member in 1..8 {
+        chain = chain.extend(session, 0, &signer_pki.signing_key(member), cert(member));
+    }
+    let (batches, per_batch) = (10, 100);
+    let cold_pkis: Vec<Pki> = (0..16 + batches * per_batch)
+        .map(|_| Pki::new(n, 3))
+        .collect();
+    let mut cold = cold_pkis.iter();
+    let (mean, best) = measure(batches, per_batch, || {
+        let pki = cold.next().expect("one cold Pki per call");
+        assert!(black_box(&chain).verify(session, 0, t, true, pki));
+    });
+    table.row([
+        "chain_verify_certified_len8".to_string(),
         format!("{mean:.0}"),
         format!("{best:.0}"),
     ]);

@@ -27,11 +27,18 @@ pub struct Encoder {
 impl Encoder {
     /// Starts an encoding under the given domain tag.
     pub fn new(domain: &str) -> Self {
-        let mut buf = Vec::with_capacity(32);
-        buf.extend_from_slice(b"ba/");
-        buf.extend_from_slice(domain.as_bytes());
-        buf.push(0);
-        Encoder { buf }
+        let mut e = Encoder {
+            buf: Vec::with_capacity(32),
+        };
+        e.domain(domain);
+        e
+    }
+
+    /// Appends a domain tag: `ba/`, the domain, a zero byte.
+    fn domain(&mut self, domain: &str) {
+        self.buf.extend_from_slice(b"ba/");
+        self.buf.extend_from_slice(domain.as_bytes());
+        self.buf.push(0);
     }
 
     /// Appends a `u8`.
@@ -59,11 +66,16 @@ impl Encoder {
         self
     }
 
-    /// Appends a nested encodable value.
+    /// Appends a nested encodable value: the bytes of
+    /// [`Encodable::encoded`], length-prefixed, written in place.
     pub fn nested<E: Encodable>(&mut self, v: &E) -> &mut Self {
-        let inner = v.encoded();
-        self.bytes(&inner);
-        self
+        let len_at = self.buf.len();
+        self.u64(0);
+        let start = self.buf.len();
+        self.domain("nested");
+        v.encode(self);
+        let len = (self.buf.len() - start) as u64;
+        self.set_u64(len_at, len)
     }
 
     /// Appends a length-prefixed sequence of encodables.
@@ -73,6 +85,22 @@ impl Encoder {
             self.nested(item);
         }
         self
+    }
+
+    /// Overwrites the big-endian `u64` written earlier at byte offset
+    /// `at`: a length whose value is known only later.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless eight bytes were written from `at` on.
+    pub fn set_u64(&mut self, at: usize, v: u64) -> &mut Self {
+        self.buf[at..at + 8].copy_from_slice(&v.to_be_bytes());
+        self
+    }
+
+    /// The bytes written so far.
+    pub fn as_bytes(&self) -> &[u8] {
+        &self.buf
     }
 
     /// Finishes, returning the canonical bytes.
@@ -152,6 +180,28 @@ mod tests {
         b.seq(&[1u64]);
         b.u64(2);
         assert_ne!(a.finish(), b.finish());
+    }
+
+    #[test]
+    fn nested_is_the_length_prefixed_inner_encoding() {
+        let mut inline = Encoder::new("x");
+        inline.nested(&7u64).nested(&b"zz".to_vec());
+        let mut reference = Encoder::new("x");
+        reference
+            .bytes(&7u64.encoded())
+            .bytes(&b"zz".to_vec().encoded());
+        assert_eq!(inline.finish(), reference.finish());
+    }
+
+    #[test]
+    fn set_u64_rewrites_in_place() {
+        let mut e = Encoder::new("x");
+        e.u64(0).u8(9);
+        let at = "ba/x".len() + 1;
+        e.set_u64(at, 3);
+        let mut reference = Encoder::new("x");
+        reference.u64(3).u8(9);
+        assert_eq!(e.as_bytes(), reference.finish().as_slice());
     }
 
     #[test]

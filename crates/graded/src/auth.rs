@@ -310,6 +310,9 @@ mod tests {
             physical < logical,
             "certificates re-check memoized signatures"
         );
+        // Exact counts, pinned so that no speedup skips or merges a
+        // check.
+        assert_eq!((logical, physical), (144, 36));
     }
 
     #[test]
@@ -406,7 +409,7 @@ mod tests {
                 ctx.broadcast(
                     ProcessId(3),
                     AuthGcMsg {
-                        items: vec![(3, GcastItem::Cert(cert))],
+                        items: vec![(3, GcastItem::Cert(Arc::new(cert)))],
                     },
                 );
             }
@@ -418,7 +421,7 @@ mod tests {
                 ctx.broadcast(
                     ProcessId(3),
                     AuthGcMsg {
-                        items: vec![(3, GcastItem::Commit(cc))],
+                        items: vec![(3, GcastItem::Commit(Arc::new(cc)))],
                     },
                 );
             }
@@ -557,6 +560,9 @@ mod tests {
         for g in report.outputs.values() {
             assert_eq!((g.value, g.grade), (Value(1), 2));
         }
+        // Exact verification work, pinned so that no speedup skips or
+        // merges a check.
+        assert_eq!(pki.verify_counts(), (184, 46));
     }
 
     #[test]

@@ -58,10 +58,27 @@
 //! attached `EC(w)` reached **every** process in round 4; two grade-1
 //! holders on different values would each violate the other's
 //! "exactly one certificate value by end of round 4" condition.
+//!
+//! ## Cost
+//!
+//! The `n` parallel instances of [`crate::auth::AuthGraded`] give every
+//! process `n²` echo and `n²` confirm items per run, so the per-item path
+//! is kept cheap without skipping a check:
+//!
+//! * signed bytes are encoded on the stack, once per check, with no heap
+//!   allocation; [`value_bytes`], [`echo_bytes`] and [`confirm_bytes`]
+//!   copy the same encoding out;
+//! * certificates are shared: [`GcastItem`] and the instance hold them
+//!   behind an [`Arc`], so confirming or spreading one clones a pointer;
+//! * echo and confirm signer sets are vectors sorted by signer, filled by
+//!   binary search, so a formed certificate lists its signatures in
+//!   ascending signer order.
 
-use ba_crypto::{Encoder, Pki, Signature, SigningKey};
+use ba_crypto::{Pki, Signature, SigningKey};
 use ba_sim::{Value, WireSize};
 use std::collections::{BTreeMap, BTreeSet};
+use std::ops::Deref;
+use std::sync::Arc;
 
 /// Static parameters of one gradecast instance.
 #[derive(Clone, Copy, Debug)]
@@ -80,27 +97,90 @@ impl GcastConfig {
     fn quorum(&self) -> usize {
         self.n - self.t
     }
+
+    /// The bytes a message of `domain` on `value` signs in this instance.
+    fn signed(&self, domain: &str, value: Value) -> SignedBytes {
+        SignedBytes::new(domain, self.session, self.inst, value)
+    }
+}
+
+/// Domain tags of the three signed message kinds.
+const VALUE: &str = "gcast-val";
+const ECHO: &str = "gcast-echo";
+const CONFIRM: &str = "gcast-confirm";
+
+/// Length of the longest signed message: `ba/`, the longest domain, a
+/// zero byte, then session, instance and value.
+const MAX_SIGNED: usize = 3 + CONFIRM.len() + 1 + 8 + 4 + 8;
+
+/// Canonical bytes of one signed gradecast message, held on the stack.
+///
+/// The layout is the one [`ba_crypto::Encoder`] gives
+/// `Encoder::new(domain).u64(session).u32(inst).u64(value)`: `ba/`, the
+/// domain, a zero byte, then the three integers big-endian.
+struct SignedBytes {
+    buf: [u8; MAX_SIGNED],
+    len: usize,
+}
+
+impl SignedBytes {
+    fn new(domain: &str, session: u64, inst: u32, value: Value) -> Self {
+        let parts: [&[u8]; 6] = [
+            b"ba/",
+            domain.as_bytes(),
+            &[0],
+            &session.to_be_bytes(),
+            &inst.to_be_bytes(),
+            &value.0.to_be_bytes(),
+        ];
+        let mut buf = [0; MAX_SIGNED];
+        let mut len = 0;
+        for part in parts {
+            buf[len..len + part.len()].copy_from_slice(part);
+            len += part.len();
+        }
+        SignedBytes { buf, len }
+    }
+}
+
+impl Deref for SignedBytes {
+    type Target = [u8];
+
+    fn deref(&self) -> &[u8] {
+        &self.buf[..self.len]
+    }
 }
 
 /// Canonical bytes of the sender's value message.
 pub fn value_bytes(session: u64, inst: u32, value: Value) -> Vec<u8> {
-    let mut e = Encoder::new("gcast-val");
-    e.u64(session).u32(inst).u64(value.0);
-    e.finish()
+    SignedBytes::new(VALUE, session, inst, value).to_vec()
 }
 
 /// Canonical bytes of an echo.
 pub fn echo_bytes(session: u64, inst: u32, value: Value) -> Vec<u8> {
-    let mut e = Encoder::new("gcast-echo");
-    e.u64(session).u32(inst).u64(value.0);
-    e.finish()
+    SignedBytes::new(ECHO, session, inst, value).to_vec()
 }
 
 /// Canonical bytes of a confirmation.
 pub fn confirm_bytes(session: u64, inst: u32, value: Value) -> Vec<u8> {
-    let mut e = Encoder::new("gcast-confirm");
-    e.u64(session).u32(inst).u64(value.0);
-    e.finish()
+    SignedBytes::new(CONFIRM, session, inst, value).to_vec()
+}
+
+/// Whether `sigs` holds at least `q` distinct signers, each of whose
+/// signatures passes `valid` (checked in order, stopping at the first
+/// duplicate or failure).
+fn distinct_quorum(
+    sigs: &[Signature],
+    q: usize,
+    mut valid: impl FnMut(&Signature) -> bool,
+) -> bool {
+    let mut signers = BTreeSet::new();
+    for sig in sigs {
+        if !signers.insert(sig.signer) || !valid(sig) {
+            return false;
+        }
+    }
+    signers.len() >= q
 }
 
 /// An echo certificate: `q` distinct echo signatures over one `s`-signed
@@ -128,23 +208,11 @@ impl EchoCert {
         if self.sender_sig.signer != cfg.inst {
             return false;
         }
-        if !pki.verify(
-            &value_bytes(cfg.session, cfg.inst, self.value),
-            &self.sender_sig,
-        ) {
+        if !pki.verify(&cfg.signed(VALUE, self.value), &self.sender_sig) {
             return false;
         }
-        let msg = echo_bytes(cfg.session, cfg.inst, self.value);
-        let mut signers = BTreeSet::new();
-        for sig in &self.echo_sigs {
-            if !signers.insert(sig.signer) {
-                return false; // duplicate signer
-            }
-            if !pki.verify(&msg, sig) {
-                return false;
-            }
-        }
-        signers.len() >= cfg.quorum()
+        let msg = cfg.signed(ECHO, self.value);
+        distinct_quorum(&self.echo_sigs, cfg.quorum(), |sig| pki.verify(&msg, sig))
     }
 }
 
@@ -166,17 +234,10 @@ impl WireSize for CommitCert {
 impl CommitCert {
     /// Verifies structure and signatures against `cfg`.
     pub fn verify(&self, cfg: &GcastConfig, pki: &Pki) -> bool {
-        let msg = confirm_bytes(cfg.session, cfg.inst, self.value);
-        let mut signers = BTreeSet::new();
-        for sig in &self.confirm_sigs {
-            if !signers.insert(sig.signer) {
-                return false;
-            }
-            if !pki.verify(&msg, sig) {
-                return false;
-            }
-        }
-        signers.len() >= cfg.quorum()
+        let msg = cfg.signed(CONFIRM, self.value);
+        distinct_quorum(&self.confirm_sigs, cfg.quorum(), |sig| {
+            pki.verify(&msg, sig)
+        })
     }
 }
 
@@ -202,7 +263,7 @@ pub enum GcastItem {
     },
     /// Rounds 3–5: an echo certificate (fresh, conflict report, or
     /// spread).
-    Cert(EchoCert),
+    Cert(Arc<EchoCert>),
     /// Round 4: a confirmation with its supporting certificate.
     Confirm {
         /// Confirmed value.
@@ -210,10 +271,10 @@ pub enum GcastItem {
         /// Confirmer's signature over [`confirm_bytes`].
         sig: Signature,
         /// Certificate justifying the confirmation.
-        cert: EchoCert,
+        cert: Arc<EchoCert>,
     },
     /// Round 5: a commit certificate.
-    Commit(CommitCert),
+    Commit(Arc<CommitCert>),
 }
 
 /// A discriminant byte plus the variant's payload.
@@ -244,6 +305,33 @@ pub struct GcastOutput {
     pub grade: u8,
 }
 
+/// Signer sets per value, sorted by signer (values capped at 2).
+type SignerSets = BTreeMap<Value, Vec<Signature>>;
+
+/// Adds `sig` to the signer set of `value` in `sets`, in this order of
+/// gates: a third value is ignored, a set at quorum `q` is full, a
+/// duplicate signer is skipped, and only then does `valid` run.
+fn add_signer(
+    sets: &mut SignerSets,
+    value: Value,
+    q: usize,
+    sig: &Signature,
+    valid: impl FnOnce() -> bool,
+) {
+    if sets.len() >= 2 && !sets.contains_key(&value) {
+        return;
+    }
+    let sigs = sets.entry(value).or_default();
+    if sigs.len() >= q {
+        return;
+    }
+    if let Err(at) = sigs.binary_search_by_key(&sig.signer, |s| s.signer) {
+        if valid() {
+            sigs.insert(at, *sig);
+        }
+    }
+}
+
 /// State machine for one gradecast instance at one process.
 ///
 /// Driven by an external scheduler ([`crate::auth::AuthGraded`]) that
@@ -255,20 +343,19 @@ pub struct GcastInstance {
     /// Distinct sender-signed values seen (capped at 2: enough to prove
     /// equivocation).
     inputs_seen: Vec<(Value, Signature)>,
-    /// Verified echo signatures per value (values capped at 2).
-    echo_sigs: BTreeMap<Value, BTreeMap<u32, Signature>>,
+    /// Verified echo signatures per value.
+    echo_sigs: SignerSets,
     /// First valid certificate per value (values capped at 2).
-    known_certs: BTreeMap<Value, EchoCert>,
+    known_certs: BTreeMap<Value, Arc<EchoCert>>,
     /// Certificate values known when the confirm decision was taken
     /// (end of round 3).
     certs_at_confirm: BTreeSet<Value>,
     /// Certificate values known by the end of round 4.
     certs_at_r4: BTreeSet<Value>,
-    /// Verified direct confirm signatures per value (round 4; values
-    /// capped at 2).
-    confirm_sigs: BTreeMap<Value, BTreeMap<u32, Signature>>,
+    /// Verified direct confirm signatures per value (round 4).
+    confirm_sigs: SignerSets,
     /// Commit certificate this process formed from direct confirms.
-    self_commit: Option<CommitCert>,
+    self_commit: Option<Arc<CommitCert>>,
     /// Values with a known valid commit certificate (capped at 2).
     known_commit_values: BTreeSet<Value>,
 }
@@ -298,7 +385,7 @@ impl GcastInstance {
     /// Round-1 send: the designated sender signs its value.
     pub fn make_input(cfg: &GcastConfig, key: &SigningKey, value: Value) -> GcastItem {
         debug_assert_eq!(key.id(), cfg.inst, "only the sender starts an instance");
-        let sig = key.sign(&value_bytes(cfg.session, cfg.inst, value));
+        let sig = key.sign(&cfg.signed(VALUE, value));
         GcastItem::Input { value, sig }
     }
 
@@ -313,7 +400,7 @@ impl GcastInstance {
         if sig.signer != self.cfg.inst {
             return;
         }
-        if pki.verify(&value_bytes(self.cfg.session, self.cfg.inst, value), sig) {
+        if pki.verify(&self.cfg.signed(VALUE, value), sig) {
             self.inputs_seen.push((value, *sig));
         }
     }
@@ -322,7 +409,7 @@ impl GcastInstance {
     pub fn make_echo(&self, key: &SigningKey) -> Option<GcastItem> {
         match self.inputs_seen.as_slice() {
             [(value, sender_sig)] => {
-                let sig = key.sign(&echo_bytes(self.cfg.session, self.cfg.inst, *value));
+                let sig = key.sign(&self.cfg.signed(ECHO, *value));
                 Some(GcastItem::Echo {
                     value: *value,
                     sender_sig: *sender_sig,
@@ -337,63 +424,56 @@ impl GcastInstance {
     pub fn recv_echo(&mut self, pki: &Pki, value: Value, sender_sig: &Signature, sig: &Signature) {
         // The embedded sender signature proves the value originated from
         // the sender; verify it once per value.
-        let sender_ok = self.inputs_seen.iter().any(|(v, _)| *v == value)
-            || (sender_sig.signer == self.cfg.inst
-                && pki.verify(
-                    &value_bytes(self.cfg.session, self.cfg.inst, value),
-                    sender_sig,
-                ));
-        if !sender_ok {
-            return;
-        }
-        if self.inputs_seen.len() < 2 && !self.inputs_seen.iter().any(|(v, _)| *v == value) {
+        if !self.inputs_seen.iter().any(|(v, _)| *v == value) {
+            if self.inputs_seen.len() >= 2 {
+                // A third sender-signed value: the sender has already
+                // proven itself faulty twice over; certificates for it
+                // are not needed for any output this instance can still
+                // produce, so its signature is not worth checking.
+                return;
+            }
+            if sender_sig.signer != self.cfg.inst
+                || !pki.verify(&self.cfg.signed(VALUE, value), sender_sig)
+            {
+                return;
+            }
             self.inputs_seen.push((value, *sender_sig));
         }
-        if !self.inputs_seen.iter().any(|(v, _)| *v == value) {
-            // A third sender-signed value: the sender has already proven
-            // itself faulty twice over; certificates for it are not needed
-            // for any output this instance can still produce.
-            return;
-        }
-        if !self.echo_sigs.contains_key(&value) && self.echo_sigs.len() >= 2 {
-            return; // two echo-able values already tracked
-        }
-        let per_value = self.echo_sigs.entry(value).or_default();
-        if per_value.contains_key(&sig.signer) || per_value.len() >= self.cfg.quorum() {
-            return; // duplicate or already at quorum: skip re-verification
-        }
-        if pki.verify(&echo_bytes(self.cfg.session, self.cfg.inst, value), sig) {
-            per_value.insert(sig.signer, *sig);
-        }
+        let cfg = self.cfg;
+        add_signer(&mut self.echo_sigs, value, cfg.quorum(), sig, || {
+            pki.verify(&cfg.signed(ECHO, value), sig)
+        });
     }
 
     /// Round-3 send: certificates this process can assemble from echoes.
     pub fn make_certs(&mut self) -> Vec<GcastItem> {
         let q = self.cfg.quorum();
-        let formed: Vec<EchoCert> = self
+        let formed: Vec<Arc<EchoCert>> = self
             .echo_sigs
             .iter()
             .filter(|(_, sigs)| sigs.len() >= q)
             .take(2)
-            .map(|(value, sigs)| EchoCert {
-                value: *value,
-                sender_sig: self
-                    .inputs_seen
-                    .iter()
-                    .find(|(v, _)| v == value)
-                    .map(|(_, s)| *s)
-                    .expect("echoed value always has a recorded sender signature"),
-                echo_sigs: sigs.values().copied().collect(),
+            .map(|(value, sigs)| {
+                Arc::new(EchoCert {
+                    value: *value,
+                    sender_sig: self
+                        .inputs_seen
+                        .iter()
+                        .find(|(v, _)| v == value)
+                        .map(|(_, s)| *s)
+                        .expect("echoed value always has a recorded sender signature"),
+                    echo_sigs: sigs.clone(),
+                })
             })
             .collect();
         for cert in &formed {
-            self.note_cert_unchecked(cert.clone());
+            self.note_cert_unchecked(Arc::clone(cert));
         }
         formed.into_iter().map(GcastItem::Cert).collect()
     }
 
     /// Records a locally-formed (already valid) certificate.
-    fn note_cert_unchecked(&mut self, cert: EchoCert) {
+    fn note_cert_unchecked(&mut self, cert: Arc<EchoCert>) {
         if self.known_certs.len() >= 2 && !self.known_certs.contains_key(&cert.value) {
             return;
         }
@@ -401,7 +481,7 @@ impl GcastInstance {
     }
 
     /// Ingests a received certificate (any round).
-    pub fn recv_cert(&mut self, pki: &Pki, cert: &EchoCert) {
+    pub fn recv_cert(&mut self, pki: &Pki, cert: &Arc<EchoCert>) {
         if self.known_certs.contains_key(&cert.value) {
             return; // one valid certificate per value suffices
         }
@@ -409,7 +489,7 @@ impl GcastInstance {
             return; // conflict already established
         }
         if cert.verify(&self.cfg, pki) {
-            self.known_certs.insert(cert.value, cert.clone());
+            self.known_certs.insert(cert.value, Arc::clone(cert));
         }
     }
 
@@ -420,25 +500,31 @@ impl GcastInstance {
     /// certificate set.
     pub fn make_confirm(&mut self, key: &SigningKey) -> Vec<GcastItem> {
         self.certs_at_confirm = self.known_certs.keys().copied().collect();
-        let mut values = self.known_certs.keys();
-        if self.known_certs.len() == 1 {
-            let value = *values.next().expect("len checked");
-            let cert = self.known_certs[&value].clone();
-            let sig = key.sign(&confirm_bytes(self.cfg.session, self.cfg.inst, value));
-            vec![GcastItem::Confirm { value, sig, cert }]
-        } else {
-            self.known_certs
-                .values()
-                .take(2)
-                .cloned()
-                .map(GcastItem::Cert)
-                .collect()
+        match self.known_certs.first_key_value() {
+            Some((&value, cert)) if self.known_certs.len() == 1 => {
+                let sig = key.sign(&self.cfg.signed(CONFIRM, value));
+                vec![GcastItem::Confirm {
+                    value,
+                    sig,
+                    cert: Arc::clone(cert),
+                }]
+            }
+            _ => self.spread_certs().collect(),
         }
+    }
+
+    /// Up to two known certificates, as `Cert` items.
+    fn spread_certs(&self) -> impl Iterator<Item = GcastItem> + '_ {
+        self.known_certs
+            .values()
+            .take(2)
+            .cloned()
+            .map(GcastItem::Cert)
     }
 
     /// Ingests a round-4 `Confirm` item (records the attached certificate
     /// first, then the confirm signature).
-    pub fn recv_confirm(&mut self, pki: &Pki, value: Value, sig: &Signature, cert: &EchoCert) {
+    pub fn recv_confirm(&mut self, pki: &Pki, value: Value, sig: &Signature, cert: &Arc<EchoCert>) {
         if cert.value == value {
             self.recv_cert(pki, cert);
         }
@@ -447,16 +533,10 @@ impl GcastInstance {
         if !self.known_certs.contains_key(&value) {
             return;
         }
-        if !self.confirm_sigs.contains_key(&value) && self.confirm_sigs.len() >= 2 {
-            return;
-        }
-        let per_value = self.confirm_sigs.entry(value).or_default();
-        if per_value.contains_key(&sig.signer) || per_value.len() >= self.cfg.quorum() {
-            return;
-        }
-        if pki.verify(&confirm_bytes(self.cfg.session, self.cfg.inst, value), sig) {
-            per_value.insert(sig.signer, *sig);
-        }
+        let cfg = self.cfg;
+        add_signer(&mut self.confirm_sigs, value, cfg.quorum(), sig, || {
+            pki.verify(&cfg.signed(CONFIRM, value), sig)
+        });
     }
 
     /// Round-5 send: spread any commit certificate formed from direct
@@ -466,21 +546,15 @@ impl GcastInstance {
         let q = self.cfg.quorum();
         let mut items = Vec::new();
         if let Some((value, sigs)) = self.confirm_sigs.iter().find(|(_, sigs)| sigs.len() >= q) {
-            let cc = CommitCert {
+            let cc = Arc::new(CommitCert {
                 value: *value,
-                confirm_sigs: sigs.values().copied().collect(),
-            };
-            self.self_commit = Some(cc.clone());
+                confirm_sigs: sigs.clone(),
+            });
+            self.self_commit = Some(Arc::clone(&cc));
             self.known_commit_values.insert(*value);
             items.push(GcastItem::Commit(cc));
         }
-        items.extend(
-            self.known_certs
-                .values()
-                .take(2)
-                .cloned()
-                .map(GcastItem::Cert),
-        );
+        items.extend(self.spread_certs());
         items
     }
 
@@ -557,6 +631,33 @@ mod tests {
             value,
             sender_sig,
             echo_sigs,
+        }
+    }
+
+    #[test]
+    fn signed_bytes_match_the_encoder_layout_at_the_edges() {
+        use ba_crypto::Encoder;
+        for session in [0, u64::MAX] {
+            for inst in [0, u32::MAX] {
+                for value in [Value(0), Value(u64::MAX)] {
+                    for (tag, domain, public) in [
+                        (
+                            VALUE,
+                            "gcast-val",
+                            value_bytes as fn(u64, u32, Value) -> Vec<u8>,
+                        ),
+                        (ECHO, "gcast-echo", echo_bytes),
+                        (CONFIRM, "gcast-confirm", confirm_bytes),
+                    ] {
+                        let mut reference = Encoder::new(domain);
+                        reference.u64(session).u32(inst).u64(value.0);
+                        let reference = reference.finish();
+                        let hot = SignedBytes::new(tag, session, inst, value);
+                        assert_eq!(&*hot, reference.as_slice(), "{tag:?}");
+                        assert_eq!(public(session, inst, value), reference, "{tag:?}");
+                    }
+                }
+            }
         }
     }
 
@@ -698,7 +799,10 @@ mod tests {
     fn confirm_only_with_unique_certified_value() {
         let (pki, cfg) = (pki(), cfg());
         let mut inst = GcastInstance::new(cfg);
-        inst.recv_cert(&pki, &valid_cert(&pki, &cfg, Value(1), &[0, 1, 2]));
+        inst.recv_cert(
+            &pki,
+            &Arc::new(valid_cert(&pki, &cfg, Value(1), &[0, 1, 2])),
+        );
         let items = inst.make_confirm(&pki.signing_key(3));
         assert!(
             matches!(items.as_slice(), [GcastItem::Confirm { value, .. }] if *value == Value(1))
@@ -706,8 +810,14 @@ mod tests {
 
         // Conflicting certificates: report instead of confirming.
         let mut inst2 = GcastInstance::new(cfg);
-        inst2.recv_cert(&pki, &valid_cert(&pki, &cfg, Value(1), &[0, 1, 2]));
-        inst2.recv_cert(&pki, &valid_cert(&pki, &cfg, Value(2), &[0, 3, 4]));
+        inst2.recv_cert(
+            &pki,
+            &Arc::new(valid_cert(&pki, &cfg, Value(1), &[0, 1, 2])),
+        );
+        inst2.recv_cert(
+            &pki,
+            &Arc::new(valid_cert(&pki, &cfg, Value(2), &[0, 3, 4])),
+        );
         let items2 = inst2.make_confirm(&pki.signing_key(3));
         assert_eq!(items2.len(), 2);
         assert!(items2.iter().all(|i| matches!(i, GcastItem::Cert(_))));

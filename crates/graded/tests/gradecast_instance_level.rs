@@ -9,6 +9,7 @@ use ba_graded::gradecast::{
     GcastItem, GcastOutput,
 };
 use ba_sim::Value;
+use std::sync::Arc;
 
 fn cfg() -> GcastConfig {
     GcastConfig {
@@ -69,7 +70,7 @@ fn honest_happy_path_reaches_grade_2() {
     assert!(matches!(confirm.as_slice(), [GcastItem::Confirm { value, .. }] if *value == v));
 
     // R4: quorum of direct confirms.
-    let own_cert = cert(&pki, v, &[0, 1, 2]);
+    let own_cert = Arc::new(cert(&pki, v, &[0, 1, 2]));
     for s in [0u32, 1, 2] {
         inst.recv_confirm(&pki, v, &confirm_sig(&pki, s, v), &own_cert);
     }
@@ -94,8 +95,8 @@ fn honest_happy_path_reaches_grade_2() {
 fn conflicting_certs_suppress_confirmation_and_grade() {
     let pki = pki();
     let mut inst = GcastInstance::new(cfg());
-    inst.recv_cert(&pki, &cert(&pki, Value(1), &[0, 1, 2]));
-    inst.recv_cert(&pki, &cert(&pki, Value(2), &[0, 3, 4]));
+    inst.recv_cert(&pki, &Arc::new(cert(&pki, Value(1), &[0, 1, 2])));
+    inst.recv_cert(&pki, &Arc::new(cert(&pki, Value(2), &[0, 3, 4])));
     let items = inst.make_confirm(&pki.signing_key(1));
     assert_eq!(items.len(), 2, "conflict report carries both certs");
     assert!(items.iter().all(|i| matches!(i, GcastItem::Cert(_))));
@@ -113,7 +114,7 @@ fn grade_1_requires_pure_round_4_view() {
     // Pure view: cert(v) only at confirm and spread time ⇒ grade 1 on a
     // received commit certificate.
     let mut pure = GcastInstance::new(cfg());
-    pure.recv_cert(&pki, &cert(&pki, v, &[0, 1, 2]));
+    pure.recv_cert(&pki, &Arc::new(cert(&pki, v, &[0, 1, 2])));
     let _ = pure.make_confirm(&pki.signing_key(1));
     let _ = pure.make_spread();
     let cc = CommitCert {
@@ -135,8 +136,8 @@ fn grade_1_requires_pure_round_4_view() {
     // Impure view: a second certificate value known by the end of round
     // 4 forces grade 0 even with the same commit certificate.
     let mut impure = GcastInstance::new(cfg());
-    impure.recv_cert(&pki, &cert(&pki, v, &[0, 1, 2]));
-    impure.recv_cert(&pki, &cert(&pki, Value(8), &[0, 3, 4]));
+    impure.recv_cert(&pki, &Arc::new(cert(&pki, v, &[0, 1, 2])));
+    impure.recv_cert(&pki, &Arc::new(cert(&pki, Value(8), &[0, 3, 4])));
     let _ = impure.make_confirm(&pki.signing_key(1));
     let _ = impure.make_spread();
     impure.recv_commit(&pki, &cc);
@@ -149,11 +150,11 @@ fn confirms_without_certificates_do_not_count() {
     let pki = pki();
     let mut inst = GcastInstance::new(cfg());
     let v = Value(3);
-    let junk_cert = EchoCert {
+    let junk_cert = Arc::new(EchoCert {
         value: Value(4), // mismatched: attached cert is for another value
         sender_sig: sender_sig(&pki, Value(4)),
         echo_sigs: vec![echo_sig(&pki, 0, Value(4))],
-    };
+    });
     for s in [0u32, 1, 2] {
         inst.recv_confirm(&pki, v, &confirm_sig(&pki, s, v), &junk_cert);
     }
@@ -185,7 +186,7 @@ fn duplicate_echoers_do_not_reach_quorum() {
 fn short_commit_certificates_rejected() {
     let pki = pki();
     let mut inst = GcastInstance::new(cfg());
-    inst.recv_cert(&pki, &cert(&pki, Value(2), &[0, 1, 2]));
+    inst.recv_cert(&pki, &Arc::new(cert(&pki, Value(2), &[0, 1, 2])));
     let _ = inst.make_confirm(&pki.signing_key(1));
     let _ = inst.make_spread();
     let short = CommitCert {
@@ -197,4 +198,44 @@ fn short_commit_certificates_rejected() {
     };
     inst.recv_commit(&pki, &short);
     assert_eq!(inst.finish().grade, 0, "2 < n − t = 3 confirm signatures");
+}
+
+/// Once two sender-signed values are held, an echo of a third one is
+/// dropped before any signature on it is checked, and changes nothing.
+#[test]
+fn third_value_echo_costs_no_verification() {
+    let pki = pki();
+    let echoes = |inst: &mut GcastInstance| {
+        for v in [Value(1), Value(2)] {
+            inst.recv_input(&pki, v, &sender_sig(&pki, v));
+            for s in [0u32, 1, 2] {
+                inst.recv_echo(&pki, v, &sender_sig(&pki, v), &echo_sig(&pki, s, v));
+            }
+        }
+    };
+    let mut plain = GcastInstance::new(cfg());
+    echoes(&mut plain);
+    let mut probed = GcastInstance::new(cfg());
+    echoes(&mut probed);
+
+    let before = pki.verify_counts();
+    let third = Value(3);
+    probed.recv_echo(
+        &pki,
+        third,
+        &sender_sig(&pki, third),
+        &echo_sig(&pki, 4, third),
+    );
+    assert_eq!(pki.verify_counts(), before, "no signature checked");
+
+    let key = pki.signing_key(1);
+    let run = |inst: &mut GcastInstance| {
+        let items = [
+            inst.make_certs(),
+            inst.make_confirm(&key),
+            inst.make_spread(),
+        ];
+        (format!("{items:?}"), inst.finish())
+    };
+    assert_eq!(run(&mut probed), run(&mut plain));
 }
